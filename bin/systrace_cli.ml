@@ -668,13 +668,13 @@ let check_cmd =
           (fun (pi : Builder.proc_info) ->
             Tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
           sys.Builder.procs;
-        Some (name, p)
+        Some (name, p, Builder.server_pids sys)
     in
     let c = Tracing.Parser.scanner () in
     let feed n ws ~len =
       Tracing.Parser.scan_feed c ws ~len;
       (match full with
-      | Some (_, p) -> Tracing.Parser.feed p ws ~len
+      | Some (_, p, _) -> Tracing.Parser.feed p ws ~len
       | None -> ());
       n + len
     in
@@ -699,8 +699,8 @@ let check_cmd =
     let parse_errs =
       match full with
       | None -> []
-      | Some (name, p) ->
-        Tracing.Parser.finish p;
+      | Some (name, p, live) ->
+        Tracing.Parser.finish ~live p;
         let errs = Tracing.Parser.errors p in
         let s = Tracing.Parser.stats p in
         Printf.printf
@@ -898,7 +898,7 @@ let serve_cmd =
         ]
     in
     let sys = Builder.build ~cfg ~programs ~files:e.Workloads.Suite.files () in
-    Serve.Server.to_parser_pipeline (fun () ->
+    Serve.Server.to_parser_pipeline ~live:(Builder.server_pids sys) (fun () ->
         let p =
           Tracing.Parser.create ~recover:true
             ~kernel_bbs:(Option.get sys.Builder.kernel_bbs) ()

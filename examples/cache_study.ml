@@ -81,9 +81,9 @@ let () =
      interesting number is memory write traffic: every store for
      write-through vs only dirty evictions for write-back. *)
   let translate pid va =
-    if va >= 0x80000000 && va < 0xA0000000 then Some (va - 0x80000000)
+    if va >= 0x80000000 && va < 0xA0000000 then va - 0x80000000
     else if va < 0x80000000 then base.Tracesim.Memsim.pagemap pid va
-    else None
+    else -1
   in
   Printf.printf "\n16 KB D-cache, 1-way, write policy (data refs only):\n";
   Printf.printf "%-14s %-14s %-16s\n" "policy" "read misses"
@@ -97,14 +97,14 @@ let () =
       let stores = ref 0 in
       List.iter
         (fun (pid, va, is_load) ->
-          match translate pid va with
-          | None -> ()
-          | Some pa ->
+          let pa = translate pid va in
+          if pa >= 0 then begin
             if is_load then ignore (Tracesim.Sim_cache_assoc.read c pa)
             else begin
               incr stores;
               ignore (Tracesim.Sim_cache_assoc.write c pa)
-            end)
+            end
+          end)
         drefs;
       let traffic =
         match policy with

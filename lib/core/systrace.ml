@@ -185,13 +185,7 @@ let run_traced ?(os = Ultrix) ?(seed = 1) ?(on_event = fun (_ : event) -> ())
   | Systrace_machine.Machine.Limit -> failwith "Systrace.run_traced: no halt");
   Builder.drain_final t;
   sink.Systrace_tracing.Sink.finish ();
-  let live =
-    List.filter_map
-      (fun (pi : Builder.proc_info) ->
-        if pi.prog.Builder.is_server then Some pi.pid else None)
-      t.Builder.procs
-  in
-  Systrace_tracing.Parser.finish ~live parser;
+  Systrace_tracing.Parser.finish ~live:(Builder.server_pids t) parser;
   {
     console = Builder.console t;
     parse_stats = Systrace_tracing.Parser.stats parser;

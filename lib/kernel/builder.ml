@@ -601,20 +601,58 @@ let drain_final t =
   done;
   t.consumed <- 0
 
+(* The extracted page map as an open-addressing int table (linear
+   probing, Fibonacci hashing, load factor at most 1/2): the trace-driven
+   simulator looks a page up per reference, so a lookup allocates nothing
+   — no tuple key, no option.  Keys are [(pid lsl 20) lor vpn] for kuseg
+   pages and the bare vpn for kseg2 pages (>= 0xC0000, above every kuseg
+   key of pid 0); values are pfns; an empty slot's key is -1. *)
+type pagetab = { pt_keys : int array; pt_pfns : int array; pt_shift : int }
+
+let[@inline] pagetab_hash pt k = (k * 0x1E3779B97F4A7C15) lsr pt.pt_shift
+
+let pagetab_of_hashtbl h =
+  let bits = ref 4 in
+  while 1 lsl !bits < 2 * Hashtbl.length h do incr bits done;
+  let pt =
+    {
+      pt_keys = Array.make (1 lsl !bits) (-1);
+      pt_pfns = Array.make (1 lsl !bits) 0;
+      pt_shift = 63 - !bits;
+    }
+  in
+  let mask = (1 lsl !bits) - 1 in
+  Hashtbl.iter
+    (fun k pfn ->
+      let i = ref (pagetab_hash pt k) in
+      while pt.pt_keys.(!i) >= 0 do i := (!i + 1) land mask done;
+      pt.pt_keys.(!i) <- k;
+      pt.pt_pfns.(!i) <- pfn)
+    h;
+  pt
+
+let rec pagetab_probe pt k i =
+  let key = Array.unsafe_get pt.pt_keys i in
+  if key = k then Array.unsafe_get pt.pt_pfns i
+  else if key < 0 then -1
+  else pagetab_probe pt k ((i + 1) land (Array.length pt.pt_keys - 1))
+
+(* The pfn mapped at key [k], or -1. *)
+let pagetab_find pt k = pagetab_probe pt k (pagetab_hash pt k)
+
 (* Extract the virtual-to-physical page map from the running system, as
-   the traced Ultrix and Mach kernels offered (paper, Â§4.2).  Returns a
-   translation function for the trace-driven simulator: kuseg pages are
-   looked up per pid through the linear page tables; kseg2 pages through
-   the root table. *)
+   the traced Ultrix and Mach kernels offered (paper, §4.2).  Returns a
+   translation function for the trace-driven simulator (-1 for an
+   unmapped page): kuseg pages are looked up per pid through the linear
+   page tables; kseg2 pages through the root table. *)
 let extract_pagemap t =
   let m = t.machine in
-  let user : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let kseg2 : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let pages : (int, int) Hashtbl.t = Hashtbl.create 4096 in
   let root_base = Addr.kseg0_pa (Exe.symbol t.kernel_exe "kroot") in
   for i = 0 to Kcfg.kseg2_span_pages - 1 do
     let pte = Machine.read_phys_u32 m (root_base + (i * 4)) in
     if pte land 0x200 <> 0 then
-      Hashtbl.replace kseg2 ((0xC000_0000 lsr 12) + i) (pte lsr 12)
+      Hashtbl.replace pages ((0xC000_0000 lsr 12) + i) (pte lsr 12)
   done;
   List.iter
     (fun (pi : proc_info) ->
@@ -622,28 +660,36 @@ let extract_pagemap t =
       let pt_base = Kcfg.pt_base_va pid in
       for ptpage = 0 to (Kcfg.pt_stride lsr 12) - 1 do
         let pt_va = pt_base + (ptpage lsl 12) in
-        match Hashtbl.find_opt kseg2 (pt_va lsr 12) with
+        match Hashtbl.find_opt pages (pt_va lsr 12) with
         | None -> ()
         | Some frame ->
           for slot = 0 to 1023 do
             let pte = Machine.read_phys_u32 m ((frame lsl 12) + (slot * 4)) in
             if pte land 0x200 <> 0 then
-              Hashtbl.replace user (pid, (ptpage lsl 10) + slot) (pte lsr 12)
+              Hashtbl.replace pages
+                ((pid lsl 20) lor ((ptpage lsl 10) + slot))
+                (pte lsr 12)
           done
       done)
     t.procs;
+  let tab = pagetab_of_hashtbl pages in
   fun pid va ->
-    if va < 0x8000_0000 then
-      match Hashtbl.find_opt user (pid, va lsr 12) with
-      | Some pfn -> Some ((pfn lsl 12) lor (va land 0xFFF))
-      | None -> None
-    else if va >= 0xC000_0000 then
-      match Hashtbl.find_opt kseg2 (va lsr 12) with
-      | Some pfn -> Some ((pfn lsl 12) lor (va land 0xFFF))
-      | None -> None
-    else Some (va land 0x1FFF_FFFF)
+    if va < 0x8000_0000 then begin
+      let pfn = if pid < 0 then -1 else pagetab_find tab ((pid lsl 20) lor (va lsr 12)) in
+      if pfn >= 0 then (pfn lsl 12) lor (va land 0xFFF) else -1
+    end
+    else if va >= 0xC000_0000 then begin
+      let pfn = pagetab_find tab (va lsr 12) in
+      if pfn >= 0 then (pfn lsl 12) lor (va land 0xFFF) else -1
+    end
+    else va land 0x1FFF_FFFF
 
 let console t = Machine.console_contents t.machine
+
+let server_pids t =
+  List.filter_map
+    (fun pi -> if pi.prog.is_server then Some pi.pid else None)
+    t.procs
 
 let proc t pid = List.find (fun p -> p.pid = pid) t.procs
 

@@ -103,11 +103,19 @@ val run : t -> max_insns:int -> Machine.stop_reason
 val drain_final : t -> unit
 (** Hand any trace remaining in the in-kernel buffer to the sink. *)
 
-val extract_pagemap : t -> int -> int -> int option
+val extract_pagemap : t -> int -> int -> int
 (** The virtual-to-physical page map of the running system (§4.2), as a
-    translation function for the trace-driven simulator. *)
+    translation function for the trace-driven simulator: [pid va] to the
+    physical address, or -1 for an unmapped page.  A lookup allocates
+    nothing. *)
 
 val console : t -> string
+
+val server_pids : t -> int list
+(** Pids of the server programs (e.g. the UX server).  A clean trace
+    can end with a server still blocked in receive, so these are the
+    [~live] processes for {!Systrace_tracing.Parser.finish}. *)
+
 val proc : t -> int -> proc_info
 val tlbdropins : t -> int
 val ticks : t -> int

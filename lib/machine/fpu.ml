@@ -37,22 +37,30 @@ let reset t =
   t.arith_stalls <- 0;
   t.ops <- 0
 
-(* Wait (at absolute cycle [now]) until [regs] are all ready; returns the
-   stall. Used for FP operands and for mfc1/stores of FP registers. *)
-let wait_regs t ~now regs =
-  let ready =
-    List.fold_left (fun acc r -> max acc t.ready.(r)) now regs
-  in
-  let stall = ready - now in
-  t.arith_stalls <- t.arith_stalls + stall;
-  stall
+(* Wait (at absolute cycle [now]) until the source registers are ready;
+   returns the stall.  Used for FP operands and for mfc1/stores of FP
+   registers.  One function per arity keeps the interpreter's FP path
+   free of lists. *)
+let stall_until t ~now ready =
+  if ready > now then begin
+    let stall = ready - now in
+    t.arith_stalls <- t.arith_stalls + stall;
+    stall
+  end
+  else 0
+
+let wait1 t ~now r = stall_until t ~now t.ready.(r)
+
+let wait2 t ~now r1 r2 =
+  let a = t.ready.(r1) and b = t.ready.(r2) in
+  stall_until t ~now (if a > b then a else b)
 
 (* Issue an FP operation at [now] (after operand stalls): waits for the
    unit, returns the additional stall, and marks the destination register
    busy until the op completes. *)
 let issue t ~now ~op ~dst =
   t.ops <- t.ops + 1;
-  let start = max now t.unit_free in
+  let start = if t.unit_free > now then t.unit_free else now in
   let stall = start - now in
   t.arith_stalls <- t.arith_stalls + stall;
   let finish = start + latency op in
@@ -62,7 +70,7 @@ let issue t ~now ~op ~dst =
 
 let issue_compare t ~now =
   t.ops <- t.ops + 1;
-  let start = max now t.unit_free in
+  let start = if t.unit_free > now then t.unit_free else now in
   let stall = start - now in
   t.arith_stalls <- t.arith_stalls + stall;
   t.unit_free <- start + compare_latency;

@@ -16,8 +16,11 @@ val compare_latency : int
 val create : unit -> t
 val reset : t -> unit
 
-val wait_regs : t -> now:int -> int list -> int
-(** Stall until the listed FP registers are ready. *)
+val wait1 : t -> now:int -> int -> int
+(** Stall until the FP register is ready; returns the stall. *)
+
+val wait2 : t -> now:int -> int -> int -> int
+(** Stall until both FP registers are ready; returns the stall. *)
 
 val issue : t -> now:int -> op:Systrace_isa.Insn.fop -> dst:int -> int
 val issue_compare : t -> now:int -> int

@@ -106,17 +106,47 @@ let fresh_counters () =
     clock_ticks = 0;
   }
 
-(* Last-translation micro-cache: one (vpn -> page frame) entry per access
-   class (fetch / load / store), the way the R3000 pipeline held the last
-   TLB match.  Only successful translations are cached, so the exception
-   and counter behaviour of the full walk is preserved exactly; the cache
-   is flushed on every event that can change a translation (TLB writes,
-   CP0 status/mode changes, ASID/context updates). *)
+(* Translation cache: per access class (fetch / load / store) a small
+   direct-mapped table of successful translations.  One entry per class
+   is not enough on instrumented code: epoxie's memtrace reads the
+   instruction word from text, the stolen-register shadows from the
+   bookkeeping area and the trace buffer around every original reference,
+   so each class rotates over 3-4 pages per traced instruction.  Those
+   pages (user text at vpn 0x400, data at 0x10000, stack and bookkeeping
+   at 0x7e000, kernel at 0x80000) agree in their low vpn bits, so the slot
+   index folds the higher vpn bytes in.  Only successful translations are
+   cached, so the exception and counter behaviour of the full walk is
+   preserved exactly.
+
+   A slot packs one entry into an int, so a probe is one load and one
+   compare: vpn in bits 21..40, pfn in bits 1..20 (TLB pfns are 20 bits,
+   kseg0/kseg1 frames 17), and bit 0 set for an uncached mapping.  An
+   empty slot holds -1, whose vpn field no 20-bit vpn equals.
+
+   An entry stays valid until one of the translation's inputs changes:
+   the TLB (a write drops the slots of the overwritten and the written
+   vpn), the ASID (flushes everything) or the KUc mode bit.  Of the mode
+   changes only entering user mode flushes: kernel-mode entries may hold
+   kseg0/1/2 translations that must trap in user mode, while user-mode
+   entries are all kuseg, whose translation does not depend on the mode
+   — so an exception entry never flushes.  Nothing else reaches
+   [translate_walk]: IE/IM-only status writes, same-ASID entryhi writes
+   and context writes leave every cached translation exact. *)
 type tcache = {
-  mutable f_vpn : int;  mutable f_frame : int;  mutable f_cached : bool;
-  mutable r_vpn : int;  mutable r_frame : int;  mutable r_cached : bool;
-  mutable w_vpn : int;  mutable w_frame : int;  mutable w_cached : bool;
+  tc_f : int array;
+  tc_r : int array;
+  tc_w : int array;
 }
+
+let tc_slots = 256
+
+let[@inline] tc_slot vpn =
+  (vpn lxor (vpn lsr 8) lxor (vpn lsr 16)) land (tc_slots - 1)
+let[@inline] tc_hit e vpn = e lsr 21 = vpn
+let[@inline] tc_cached e = e land 1 = 0
+let[@inline] tc_pa e va = ((e land 0x1FFFFE) lsl 11) lor (va land Addr.page_mask)
+let[@inline] tc_entry vpn pa cached =
+  (vpn lsl 21) lor ((pa lsr Addr.page_shift) lsl 1) lor (if cached then 0 else 1)
 
 (* The uop IR and block representation live in {!Uop} (opened above):
    decode-to-uop lowering, superblock fusion, and the store-generation
@@ -261,9 +291,9 @@ let create ?(cfg = default_config) () =
        tlb);
     tc =
       {
-        f_vpn = -1; f_frame = 0; f_cached = false;
-        r_vpn = -1; r_frame = 0; r_cached = false;
-        w_vpn = -1; w_frame = 0; w_cached = false;
+        tc_f = Array.make tc_slots (-1);
+        tc_r = Array.make tc_slots (-1);
+        tc_w = Array.make tc_slots (-1);
       };
     tr_cached = false;
     bb_k = 0;
@@ -353,91 +383,87 @@ let read_phys_bytes t pa len = Bytes.sub_string t.mem pa len
 (* ------------------------------------------------------------------ *)
 (* Address translation                                                 *)
 
-(* Full translation walk: segment checks plus TLB lookup.  Returns
-   (pa, cached); raises [Trap] on failure.  This is the micro-cache-free
-   oracle the fast [translate] below must agree with. *)
+(* Full translation walk: segment checks plus TLB lookup.  Returns the
+   physical address and leaves cacheability in [t.tr_cached] (a scratch
+   return slot, so no tuple is allocated); raises [Trap] on failure.  This
+   is the translation-cache-free oracle [translate_i] must agree with. *)
 let translate_walk t va ~write:w ~fetch =
   match Addr.segment va with
   | Addr.Kseg0 ->
     if user_mode t then
-      trap ~badva:va (if w then Exc.ades else Exc.adel)
-    else (Addr.kseg0_pa va, true)
+      trap ~badva:va (if w then Exc.ades else Exc.adel);
+    t.tr_cached <- true;
+    Addr.kseg0_pa va
   | Addr.Kseg1 ->
     if user_mode t then
-      trap ~badva:va (if w then Exc.ades else Exc.adel)
-    else (Addr.kseg1_pa va, false)
-  | Addr.Kuseg | Addr.Kseg2 -> (
-    if Addr.segment va = Addr.Kseg2 && user_mode t then
       trap ~badva:va (if w then Exc.ades else Exc.adel);
-    let vpn = Addr.vpn va in
-    match Tlb.lookup t.tlb ~vpn ~asid:(asid t) ~write:w with
-    | Tlb.Hit { pfn; noncacheable; _ } ->
-      ((pfn lsl Addr.page_shift) lor Addr.page_offset va, not noncacheable)
-    | Tlb.Miss ->
+    t.tr_cached <- false;
+    Addr.kseg1_pa va
+  | Addr.Kuseg | Addr.Kseg2 ->
+    if va >= Addr.kseg2_base && user_mode t then
+      trap ~badva:va (if w then Exc.ades else Exc.adel);
+    let lo = Tlb.lookup t.tlb ~vpn:(Addr.vpn va) ~asid:(asid t) ~write:w in
+    if lo >= 0 then begin
+      t.tr_cached <- not (Tlb.lo_noncacheable lo);
+      (Tlb.lo_pfn lo lsl Addr.page_shift) lor Addr.page_offset va
+    end
+    else if lo = Tlb.miss then begin
       if va < Addr.kuseg_limit then t.c.utlb_misses <- t.c.utlb_misses + 1
       else t.c.ktlb_misses <- t.c.ktlb_misses + 1;
       ignore fetch;
       trap ~badva:va ~refill:true (if w then Exc.tlbs else Exc.tlbl)
-    | Tlb.Invalid ->
+    end
+    else if lo = Tlb.invalid then begin
       t.c.tlb_invalid <- t.c.tlb_invalid + 1;
       trap ~badva:va (if w then Exc.tlbs else Exc.tlbl)
-    | Tlb.Modified ->
+    end
+    else begin
       t.c.tlb_mod <- t.c.tlb_mod + 1;
-      trap ~badva:va Exc.tlb_mod)
+      trap ~badva:va Exc.tlb_mod
+    end
 
 let tcache_flush t =
   let tc = t.tc in
-  tc.f_vpn <- -1;
-  tc.r_vpn <- -1;
-  tc.w_vpn <- -1
+  Array.fill tc.tc_f 0 tc_slots (-1);
+  Array.fill tc.tc_r 0 tc_slots (-1);
+  Array.fill tc.tc_w 0 tc_slots (-1)
 
-(* Translation with the last-translation micro-cache in front of the full
-   walk: the common in-page access reuses the previous page frame without
-   re-checking segment permissions or walking the TLB.  Failed walks trap
-   before the cache is filled, so misses, invalid entries and modified
-   faults behave (and count) exactly as in [translate_walk].
+(* A TLB write changes the translation of exactly two vpns: the one the
+   overwritten entry held and the one written. *)
+let tcache_forget t vpn =
+  let s = tc_slot vpn in
+  let tc = t.tc in
+  Array.unsafe_set tc.tc_f s (-1);
+  Array.unsafe_set tc.tc_r s (-1);
+  Array.unsafe_set tc.tc_w s (-1)
 
-   [translate_i] returns the physical address and leaves cacheability in
-   [t.tr_cached] — the hot paths (fetch, load, store, block entry) read
-   it from there, so a translation costs no tuple allocation.  The tuple
-   API [translate] is a thin wrapper kept for the oracle comparisons and
-   external callers. *)
+let tlb_write t k ~hi ~lo =
+  tcache_forget t (Tlb.hi_vpn t.tlb.Tlb.entries.(k).Tlb.hi);
+  tcache_forget t (Tlb.hi_vpn hi);
+  Tlb.write t.tlb k ~hi ~lo
+
+(* Translation with the translation cache in front of the full walk: a
+   hit reuses the cached page frame without re-checking segment
+   permissions or walking the TLB.  Failed walks trap before the cache is
+   filled, so misses, invalid entries and modified faults behave (and
+   count) exactly as in [translate_walk].  Returns the physical address
+   and leaves cacheability in [t.tr_cached], as the walk does. *)
 let translate_i t va ~write:w ~fetch =
   let tc = t.tc in
+  let tab = if fetch then tc.tc_f else if w then tc.tc_w else tc.tc_r in
   let vpn = va lsr Addr.page_shift in
-  if fetch && vpn = tc.f_vpn then begin
-    t.tr_cached <- tc.f_cached;
-    tc.f_frame lor (va land Addr.page_mask)
-  end
-  else if (not fetch) && (not w) && vpn = tc.r_vpn then begin
-    t.tr_cached <- tc.r_cached;
-    tc.r_frame lor (va land Addr.page_mask)
-  end
-  else if (not fetch) && w && vpn = tc.w_vpn then begin
-    t.tr_cached <- tc.w_cached;
-    tc.w_frame lor (va land Addr.page_mask)
+  let s = tc_slot vpn in
+  let e = Array.unsafe_get tab s in
+  if tc_hit e vpn then begin
+    t.tr_cached <- tc_cached e;
+    tc_pa e va
   end
   else begin
-    let pa, cached = translate_walk t va ~write:w ~fetch in
-    if Uop.tcache_enabled t.cfg.tier then begin
-      let frame = pa land lnot Addr.page_mask in
-      if fetch then begin
-        tc.f_vpn <- vpn; tc.f_frame <- frame; tc.f_cached <- cached
-      end
-      else if w then begin
-        tc.w_vpn <- vpn; tc.w_frame <- frame; tc.w_cached <- cached
-      end
-      else begin
-        tc.r_vpn <- vpn; tc.r_frame <- frame; tc.r_cached <- cached
-      end
-    end;
-    t.tr_cached <- cached;
+    let pa = translate_walk t va ~write:w ~fetch in
+    if Uop.tcache_enabled t.cfg.tier then
+      Array.unsafe_set tab s (tc_entry vpn pa t.tr_cached);
     pa
   end
-
-let translate t va ~write ~fetch =
-  let pa = translate_i t va ~write ~fetch in
-  (pa, t.tr_cached)
 
 (* ------------------------------------------------------------------ *)
 (* Devices                                                             *)
@@ -584,6 +610,9 @@ let store_timed t va bytes v =
     | None -> ()
   end
 
+(* The double-word accesses move the value between memory and [t.fregs]
+   themselves (the load returns the physical address it read, the store
+   takes the register), so no float crosses a call boxed. *)
 let load_double_timed t va =
   if va land 7 <> 0 then trap ~badva:va Exc.adel;
   let pa = translate_i t va ~write:false ~fetch:false in
@@ -597,9 +626,9 @@ let load_double_timed t va =
     t.c.uncached_reads <- t.c.uncached_reads + 1;
     t.cycles <- t.cycles + t.cfg.uncached_penalty
   end;
-  Int64.float_of_bits (Bytes.get_int64_le t.mem pa)
+  pa
 
-let store_double_timed t va f =
+let store_double_timed t va ft =
   if va land 7 <> 0 then trap ~badva:va Exc.ades;
   let pa = translate_i t va ~write:true ~fetch:false in
   let cached = t.tr_cached in
@@ -608,7 +637,7 @@ let store_double_timed t va f =
   (* A double store occupies two write-buffer slots. *)
   t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
   t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
-  Bytes.set_int64_le t.mem pa (Int64.bits_of_float f);
+  Bytes.set_int64_le t.mem pa (Int64.bits_of_float t.fregs.(ft));
   Bytes.set t.dec_valid (pa lsr 2) '\000';
   Bytes.set t.dec_valid ((pa lsr 2) + 1) '\000';
   (* 8-byte aligned, so both words share one page *)
@@ -671,9 +700,7 @@ let enter_exception t ~code ~badva ~refill ~cur ~in_delay =
   in
   t.pc <- vector;
   t.npc <- vector + 4;
-  t.next_is_delay <- false;
-  (* Status and EntryHi both changed above. *)
-  tcache_flush t
+  t.next_is_delay <- false
 
 (* ------------------------------------------------------------------ *)
 (* Instruction execution                                               *)
@@ -742,19 +769,17 @@ let cp0_write t (c : Insn.cp0) v =
   | C0_index -> t.index_reg <- v land 0x3F00
   | C0_random -> ()
   | C0_entrylo -> t.entrylo <- v
-  | C0_context ->
-    t.context_base <- v land 0xFFE00000;
-    tcache_flush t
+  | C0_context -> t.context_base <- v land 0xFFE00000
   | C0_badvaddr -> ()
   | C0_count -> ()
   | C0_entryhi ->
     (* ASID lives here: a change retargets every mapped translation. *)
-    t.entryhi <- v;
-    tcache_flush t
+    if (t.entryhi lxor v) land 0xFC0 <> 0 then tcache_flush t;
+    t.entryhi <- v
   | C0_status ->
-    (* KU/IE bits gate segment permissions. *)
-    t.status <- v;
-    tcache_flush t
+    (* KUc gates segment permissions; the IE/IM bits translate nothing. *)
+    if v land lnot t.status land 0x2 <> 0 then tcache_flush t;
+    t.status <- v
   | C0_cause -> t.cause <- v
   | C0_epc -> t.epc <- v
   | C0_prid -> ()
@@ -762,20 +787,20 @@ let cp0_write t (c : Insn.cp0) v =
 let privileged t =
   if user_mode t then trap Exc.reserved
 
+let target = function
+  | Insn.Abs a -> a
+  | Insn.Sym s -> failwith ("unresolved symbol at runtime: " ^ s)
+
+let imm_value = function
+  | Insn.Imm n -> n
+  | Insn.Lo s | Insn.Hi s ->
+    failwith ("unresolved immediate at runtime: " ^ s)
+
+let branch t cond tgt =
+  t.next_is_delay <- true;
+  if cond then t.npc <- target tgt
+
 let exec t cur insn =
-  let target = function
-    | Insn.Abs a -> a
-    | Insn.Sym s -> failwith ("unresolved symbol at runtime: " ^ s)
-  in
-  let imm_value = function
-    | Insn.Imm n -> n
-    | Insn.Lo s | Insn.Hi s ->
-      failwith ("unresolved immediate at runtime: " ^ s)
-  in
-  let branch cond tgt =
-    t.next_is_delay <- true;
-    if cond then t.npc <- target tgt
-  in
   match (insn : Insn.t) with
   | Alu (op, rd, rs, rt) -> exec_alu t op rd rs rt
   | Alui (op, rt, rs, imm) -> exec_alui t op rt rs (imm_value imm)
@@ -810,25 +835,25 @@ let exec t cur insn =
     ref_trace t 2 va
   | Fload (ft, base, off) ->
     let va = u32 (reg_get t base + imm_value off) in
-    let v = load_double_timed t va in
+    let pa = load_double_timed t va in
     ref_trace t 1 va;
-    t.fregs.(ft) <- v;
+    t.fregs.(ft) <- Int64.float_of_bits (Bytes.get_int64_le t.mem pa);
     Fpu.set_ready t.fpu ~now:t.cycles ft
   | Fstore (ft, base, off) ->
     let va = u32 (reg_get t base + imm_value off) in
-    t.cycles <- t.cycles + Fpu.wait_regs t.fpu ~now:t.cycles [ ft ];
-    store_double_timed t va t.fregs.(ft);
+    t.cycles <- t.cycles + Fpu.wait1 t.fpu ~now:t.cycles ft;
+    store_double_timed t va ft;
     ref_trace t 2 va
-  | Beq (rs, rt, tg) -> branch (reg_get t rs = reg_get t rt) tg
-  | Bne (rs, rt, tg) -> branch (reg_get t rs <> reg_get t rt) tg
-  | Blez (rs, tg) -> branch (s32 (reg_get t rs) <= 0) tg
-  | Bgtz (rs, tg) -> branch (s32 (reg_get t rs) > 0) tg
-  | Bltz (rs, tg) -> branch (s32 (reg_get t rs) < 0) tg
-  | Bgez (rs, tg) -> branch (s32 (reg_get t rs) >= 0) tg
-  | J tg -> branch true tg
+  | Beq (rs, rt, tg) -> branch t (reg_get t rs = reg_get t rt) tg
+  | Bne (rs, rt, tg) -> branch t (reg_get t rs <> reg_get t rt) tg
+  | Blez (rs, tg) -> branch t (s32 (reg_get t rs) <= 0) tg
+  | Bgtz (rs, tg) -> branch t (s32 (reg_get t rs) > 0) tg
+  | Bltz (rs, tg) -> branch t (s32 (reg_get t rs) < 0) tg
+  | Bgez (rs, tg) -> branch t (s32 (reg_get t rs) >= 0) tg
+  | J tg -> branch t true tg
   | Jal tg ->
     reg_set t Reg.ra (cur + 8);
-    branch true tg
+    branch t true tg
   | Jr rs ->
     t.next_is_delay <- true;
     t.npc <- reg_get t rs
@@ -852,33 +877,33 @@ let exec t cur insn =
     t.entrylo <- lo
   | Tlbwi ->
     privileged t;
-    Tlb.write t.tlb ((t.index_reg lsr 8) land 0x3F) ~hi:t.entryhi ~lo:t.entrylo;
-    tcache_flush t
+    tlb_write t ((t.index_reg lsr 8) land 0x3F) ~hi:t.entryhi ~lo:t.entrylo
   | Tlbwr ->
     privileged t;
-    Tlb.write t.tlb (Tlb.random_index ~cycle:t.cycles) ~hi:t.entryhi
-      ~lo:t.entrylo;
-    tcache_flush t
+    tlb_write t (Tlb.random_index ~cycle:t.cycles) ~hi:t.entryhi ~lo:t.entrylo
   | Tlbp ->
     privileged t;
-    (match
-       Tlb.probe t.tlb ~vpn:(t.entryhi lsr 12) ~asid:((t.entryhi lsr 6) land 0x3F)
-     with
-    | Some k -> t.index_reg <- k lsl 8
-    | None -> t.index_reg <- 0x80000000)
+    let k =
+      Tlb.probe t.tlb ~vpn:(t.entryhi lsr 12) ~asid:((t.entryhi lsr 6) land 0x3F)
+    in
+    t.index_reg <- (if k >= 0 then k lsl 8 else 0x80000000)
   | Rfe ->
     privileged t;
-    t.status <- (t.status land lnot 0xF) lor ((t.status lsr 2) land 0xF);
-    tcache_flush t
+    let s = (t.status land lnot 0xF) lor ((t.status lsr 2) land 0xF) in
+    if s land lnot t.status land 0x2 <> 0 then tcache_flush t;
+    t.status <- s
   | Mfc1 (rt, fs) ->
-    t.cycles <- t.cycles + Fpu.wait_regs t.fpu ~now:t.cycles [ fs ];
+    t.cycles <- t.cycles + Fpu.wait1 t.fpu ~now:t.cycles fs;
     reg_set t rt (int_of_float t.fregs.(fs))
   | Mtc1 (rt, fs) ->
     t.fregs.(fs) <- float_of_int (s32 (reg_get t rt));
     Fpu.set_ready t.fpu ~now:t.cycles fs
   | Fop (op, fd, fs, ft) ->
-    let srcs = match op with FADD | FSUB | FMUL | FDIV -> [ fs; ft ] | _ -> [ fs ] in
-    t.cycles <- t.cycles + Fpu.wait_regs t.fpu ~now:t.cycles srcs;
+    t.cycles <-
+      t.cycles
+      + (match op with
+        | FADD | FSUB | FMUL | FDIV -> Fpu.wait2 t.fpu ~now:t.cycles fs ft
+        | _ -> Fpu.wait1 t.fpu ~now:t.cycles fs);
     t.cycles <- t.cycles + Fpu.issue t.fpu ~now:t.cycles ~op ~dst:fd;
     let a = t.fregs.(fs) and b = t.fregs.(ft) in
     t.fregs.(fd) <-
@@ -893,16 +918,16 @@ let exec t cur insn =
       | CVTDW -> a
       | TRUNCWD -> Float.of_int (int_of_float a))
   | Fcmp (c, fs, ft) ->
-    t.cycles <- t.cycles + Fpu.wait_regs t.fpu ~now:t.cycles [ fs; ft ];
+    t.cycles <- t.cycles + Fpu.wait2 t.fpu ~now:t.cycles fs ft;
     t.cycles <- t.cycles + Fpu.issue_compare t.fpu ~now:t.cycles;
     let a = t.fregs.(fs) and b = t.fregs.(ft) in
     t.fcc <- (match c with FEQ -> a = b | FLT -> a < b | FLE -> a <= b)
-  | Bc1t tg -> branch t.fcc tg
-  | Bc1f tg -> branch (not t.fcc) tg
+  | Bc1t tg -> branch t t.fcc tg
+  | Bc1f tg -> branch t (not t.fcc) tg
   | Cache (op, base, off) ->
     privileged t;
     let va = u32 (reg_get t base + imm_value off) in
-    let pa, _ = translate t va ~write:false ~fetch:false in
+    let pa = translate_i t va ~write:false ~fetch:false in
     if op = 0 then Cache.invalidate t.icache pa
     else Cache.invalidate t.dcache pa
   | Hcall code -> (
@@ -1070,38 +1095,42 @@ let[@inline always] bb_seam t pa cur ptag =
   t.npc <- t.npc + 4;
   tg
 
+(* The word-access fast-path test shared by every inline load/store: the
+   physical address of an aligned word whose translation-cache entry
+   ([tab] is the load or the store class) is a cached in-RAM mapping, or
+   -1 when the access must take the timed helper (unaligned, cache miss,
+   uncached, device, out of range). *)
+let[@inline always] tc_word_pa t tab va =
+  let vpn = va lsr Addr.page_shift in
+  let e = Array.unsafe_get tab (tc_slot vpn) in
+  if va land 3 = 0 && tc_hit e vpn && tc_cached e then begin
+    let pa = tc_pa e va in
+    if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then pa else -1
+  end
+  else -1
+
 (* Cached, in-RAM word load/store bodies shared by the scalar
-   [U_lw]/[U_sw] arms and the fused uops: micro-cache hit +
+   [U_lw]/[U_sw] arms and the fused uops: translation-cache hit +
    direct-mapped d-cache probe + raw access (write-through no-allocate
    on the store side, so only the write buffer, memory, decode cache and
    page generation are touched), falling back to the timed helpers for
-   every other case (unaligned, micro-cache miss, uncached, device, out
-   of range). *)
+   every other case. *)
 let[@inline always] bb_load_word t rt va =
-  let tcc = t.tc in
-  if va land 3 = 0 && va lsr Addr.page_shift = tcc.r_vpn && tcc.r_cached
-  then begin
-    let pa = tcc.r_frame lor (va land Addr.page_mask) in
-    if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then begin
-      let dc = t.dcache in
-      let tg = pa lsr dc.Cache.line_shift in
-      let idx = tg land (dc.Cache.nlines - 1) in
-      if Array.unsafe_get dc.Cache.tags idx = tg then
-        dc.Cache.hits <- dc.Cache.hits + 1
-      else begin
-        dc.Cache.misses <- dc.Cache.misses + 1;
-        Array.unsafe_set dc.Cache.tags idx tg;
-        t.cycles <- t.cycles + t.cfg.read_miss_penalty
-      end;
-      let v = Int32.to_int (Bytes.get_int32_le t.mem pa) land 0xFFFFFFFF in
-      (match t.ref_tracer with Some f -> f 1 va | None -> ());
-      reg_set t rt v
-    end
+  let pa = tc_word_pa t t.tc.tc_r va in
+  if pa >= 0 then begin
+    let dc = t.dcache in
+    let tg = pa lsr dc.Cache.line_shift in
+    let idx = tg land (dc.Cache.nlines - 1) in
+    if Array.unsafe_get dc.Cache.tags idx = tg then
+      dc.Cache.hits <- dc.Cache.hits + 1
     else begin
-      let v = load_word_timed t va in
-      (match t.ref_tracer with Some f -> f 1 va | None -> ());
-      reg_set t rt v
-    end
+      dc.Cache.misses <- dc.Cache.misses + 1;
+      Array.unsafe_set dc.Cache.tags idx tg;
+      t.cycles <- t.cycles + t.cfg.read_miss_penalty
+    end;
+    let v = Int32.to_int (Bytes.get_int32_le t.mem pa) land 0xFFFFFFFF in
+    (match t.ref_tracer with Some f -> f 1 va | None -> ());
+    reg_set t rt v
   end
   else begin
     let v = load_word_timed t va in
@@ -1110,26 +1139,18 @@ let[@inline always] bb_load_word t rt va =
   end
 
 let[@inline always] bb_store_word t v va =
-  let tcc = t.tc in
-  if va land 3 = 0 && va lsr Addr.page_shift = tcc.w_vpn && tcc.w_cached
-  then begin
-    let pa = tcc.w_frame lor (va land Addr.page_mask) in
-    if pa + 4 <= t.cfg.mem_bytes && not (is_device_pa pa) then begin
-      t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
-      Bytes.set_int32_le t.mem pa (Int32.of_int (v land 0xFFFFFFFF));
-      Bytes.set t.dec_valid (pa lsr 2) '\000';
-      bgen_bump t pa;
-      (match t.watchpoint with
-      | Some f ->
-        t.bb_dev <- true;
-        f va v
-      | None -> ());
-      (match t.ref_tracer with Some f -> f 2 va | None -> ())
-    end
-    else begin
-      store_timed t va 4 v;
-      (match t.ref_tracer with Some f -> f 2 va | None -> ())
-    end
+  let pa = tc_word_pa t t.tc.tc_w va in
+  if pa >= 0 then begin
+    t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
+    Bytes.set_int32_le t.mem pa (Int32.of_int (v land 0xFFFFFFFF));
+    Bytes.set t.dec_valid (pa lsr 2) '\000';
+    bgen_bump t pa;
+    (match t.watchpoint with
+    | Some f ->
+      t.bb_dev <- true;
+      f va v
+    | None -> ());
+    (match t.ref_tracer with Some f -> f 2 va | None -> ())
   end
   else begin
     store_timed t va 4 v;
@@ -1702,10 +1723,10 @@ and bb_end t b lim budget k slow next_ev ptag =
    must not wrap the replay itself.
 
    [bprev] is the block just replayed; its [bb_next] memoizes the block
-   last entered from here.  The memo is valid only if the fetch
-   micro-cache would translate [t.pc] to the memoized block's entry (the
-   exact hit condition of [translate_i], which has no counter side
-   effects) and the block's text page generation still matches —
+   last entered from here.  The memo is valid only if the fetch class of
+   the translation cache would translate [t.pc] to the memoized block's
+   entry (the exact hit condition of [translate_i], which has no counter
+   side effects) and the block's text page generation still matches —
    otherwise the full fetch-check + table-probe path runs and re-memoizes
    whatever it finds.  [bb_va = t.pc] implies alignment (blocks are only
    built at aligned pcs), and the bounds check held at build time for the
@@ -1713,15 +1734,16 @@ and bb_end t b lim budget k slow next_ev ptag =
 and bb_chain t bprev budget next_ev ptag =
   let va = t.pc in
   let nb = bprev.bb_next in
-  let tcc = t.tc in
+  let vpn = va lsr Addr.page_shift in
+  let e = Array.unsafe_get t.tc.tc_f (tc_slot vpn) in
   if
     nb.bb_va = va
-    && tcc.f_vpn = va lsr Addr.page_shift
-    && tcc.f_frame lor (va land Addr.page_mask) = nb.bb_pa
-    && tcc.f_cached = nb.bb_cached
+    && tc_hit e vpn
+    && tc_pa e va = nb.bb_pa
+    && tc_cached e = nb.bb_cached
     && Array.unsafe_get t.bgen (nb.bb_pa lsr Addr.page_shift) = nb.bb_gen
   then begin
-    t.tr_cached <- tcc.f_cached;
+    t.tr_cached <- nb.bb_cached;
     (* [t.bb_um] is still current: nothing between the previous block's
        flush and this entry executes or touches CP0 status. *)
     if Uop.trace_enabled t.cfg.tier then bb_chain_trace t nb budget next_ev ptag
@@ -1836,14 +1858,15 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
     end
     else begin
       let nb = Array.unsafe_get tr.tr_blocks bi in
-      let tcc = t.tc in
+      let vpn = pc lsr Addr.page_shift in
+      let e = Array.unsafe_get t.tc.tc_f (tc_slot vpn) in
       if
         pc = nb.bb_va
         && npc = pc + 4
         && (not t.halted)
-        && tcc.f_vpn = pc lsr Addr.page_shift
-        && tcc.f_frame lor (pc land Addr.page_mask) = nb.bb_pa
-        && tcc.f_cached
+        && tc_hit e vpn
+        && tc_pa e pc = nb.bb_pa
+        && tc_cached e
       then begin
         (* whole completed block in one deferred credit ([bb_kf] stays
            0 across internal seams) *)
@@ -1925,15 +1948,8 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
     | U_lw (rt, base, off) ->
       let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
       let va = u32 (a + off) in
-      let tcc = t.tc in
-      let lpa = tcc.r_frame lor (va land Addr.page_mask) in
-      if
-        va land 3 = 0
-        && va lsr Addr.page_shift = tcc.r_vpn
-        && tcc.r_cached
-        && lpa + 4 <= t.cfg.mem_bytes
-        && not (is_device_pa lpa)
-      then begin
+      let lpa = tc_word_pa t t.tc.tc_r va in
+      if lpa >= 0 then begin
         let dc = t.dcache in
         let tg = lpa lsr dc.Cache.line_shift in
         let idx = tg land (dc.Cache.nlines - 1) in
@@ -2011,15 +2027,8 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
       let sv = if rt = r0 then c0 else if rt = r1 then c1 else Array.unsafe_get t.regs rt in
       let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
       let va = u32 (a + off) in
-      let tcc = t.tc in
-      let spa = tcc.w_frame lor (va land Addr.page_mask) in
-      if
-        va land 3 = 0
-        && va lsr Addr.page_shift = tcc.w_vpn
-        && tcc.w_cached
-        && spa + 4 <= t.cfg.mem_bytes
-        && not (is_device_pa spa)
-      then begin
+      let spa = tc_word_pa t t.tc.tc_w va in
+      if spa >= 0 then begin
         (* watchpoint is None for the whole pass ([bb_trace_ready]) *)
         (* [Write_buffer.store], free-slot case hand-inlined: the ring
            fields are public for exactly this (the call dominated the trace
@@ -2206,15 +2215,8 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
     | U_lw_addiu (rt, base, off, rt2, rs2, i2) ->
       let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
       let va = u32 (a + off) in
-      let tcc = t.tc in
-      let lpa = tcc.r_frame lor (va land Addr.page_mask) in
-      if
-        va land 3 = 0
-        && va lsr Addr.page_shift = tcc.r_vpn
-        && tcc.r_cached
-        && lpa + 4 <= t.cfg.mem_bytes
-        && not (is_device_pa lpa)
-      then begin
+      let lpa = tc_word_pa t t.tc.tc_r va in
+      if lpa >= 0 then begin
         let dc = t.dcache in
         let tg = lpa lsr dc.Cache.line_shift in
         let idx = tg land (dc.Cache.nlines - 1) in
@@ -2257,15 +2259,8 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
     | U_lmw (rt, base, off, rt2, rs2, i2, rt3, base3, off3) ->
       let a = if base = r0 then c0 else if base = r1 then c1 else Array.unsafe_get t.regs base in
       let va = u32 (a + off) in
-      let tcc = t.tc in
-      let lpa = tcc.r_frame lor (va land Addr.page_mask) in
-      if
-        va land 3 = 0
-        && va lsr Addr.page_shift = tcc.r_vpn
-        && tcc.r_cached
-        && lpa + 4 <= t.cfg.mem_bytes
-        && not (is_device_pa lpa)
-      then begin
+      let lpa = tc_word_pa t t.tc.tc_r va in
+      if lpa >= 0 then begin
         let dc = t.dcache in
         let tg = lpa lsr dc.Cache.line_shift in
         let idx = tg land (dc.Cache.nlines - 1) in
@@ -2292,14 +2287,8 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
         let sv = if rt3 = r0 then c0 else if rt3 = r1 then c1 else Array.unsafe_get t.regs rt3 in
         let a3 = if base3 = r0 then c0 else if base3 = r1 then c1 else Array.unsafe_get t.regs base3 in
         let sva = u32 (a3 + off3) in
-        let spa = tcc.w_frame lor (sva land Addr.page_mask) in
-        if
-          sva land 3 = 0
-          && sva lsr Addr.page_shift = tcc.w_vpn
-          && tcc.w_cached
-          && spa + 4 <= t.cfg.mem_bytes
-          && not (is_device_pa spa)
-        then begin
+        let spa = tc_word_pa t t.tc.tc_w sva in
+        if spa >= 0 then begin
           (* [Write_buffer.store], free-slot case hand-inlined: the ring
              fields are public for exactly this (the call dominated the trace
              store fast path); a full buffer takes the out-of-line stall path *)
@@ -2384,14 +2373,8 @@ and bb_trc_go t b k pc npc cyc c0 c1 r0 r1 =
         let sv = if rt3 = r0 then c0 else if rt3 = r1 then c1 else Array.unsafe_get t.regs rt3 in
         let a3 = if base3 = r0 then c0 else if base3 = r1 then c1 else Array.unsafe_get t.regs base3 in
         let sva = u32 (a3 + off3) in
-        let spa = tcc.w_frame lor (sva land Addr.page_mask) in
-        if
-          sva land 3 = 0
-          && sva lsr Addr.page_shift = tcc.w_vpn
-          && tcc.w_cached
-          && spa + 4 <= t.cfg.mem_bytes
-          && not (is_device_pa spa)
-        then begin
+        let spa = tc_word_pa t t.tc.tc_w sva in
+        if spa >= 0 then begin
           (* [Write_buffer.store], free-slot case hand-inlined: the ring
              fields are public for exactly this (the call dominated the trace
              store fast path); a full buffer takes the out-of-line stall path *)

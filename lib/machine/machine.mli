@@ -77,14 +77,20 @@ type counters = {
   mutable clock_ticks : int;
 }
 
-(** Last-translation micro-cache: one (vpn -> page frame) entry per access
-    class (fetch / load / store), flushed on TLB writes, CP0 status/mode
-    changes and ASID/context updates. *)
+(** Translation cache: per access class (fetch / load / store) a
+    direct-mapped table of {!tc_slots} successful translations, slot
+    {!tc_slot} of the vpn.  Each slot packs vpn, pfn and an uncached bit
+    into one int (-1 = empty).  A TLB write drops the slots of the two
+    vpns it retargets; an ASID change or entering user mode flushes
+    all. *)
 type tcache = {
-  mutable f_vpn : int;  mutable f_frame : int;  mutable f_cached : bool;
-  mutable r_vpn : int;  mutable r_frame : int;  mutable r_cached : bool;
-  mutable w_vpn : int;  mutable w_frame : int;  mutable w_cached : bool;
+  tc_f : int array;
+  tc_r : int array;
+  tc_w : int array;
 }
+
+val tc_slots : int
+val tc_slot : int -> int
 
 type t = {
   cfg : config;
@@ -114,8 +120,8 @@ type t = {
   tlb : Tlb.t;
   tc : tcache;
   mutable tr_cached : bool;
-      (** Cacheability of the last [translate_i] result — the hot paths'
-          allocation-free way of returning (pa, cached). *)
+      (** Cacheability of the last {!translate_i} / {!translate_walk}
+          result — the allocation-free way of returning (pa, cached). *)
   mutable bb_k : int;
       (** Index of the uop currently replaying in block mode — lets the
           per-block trap handler recover the faulting pc. *)
@@ -178,15 +184,17 @@ val asid : t -> int
 
 (** {2 Address translation} *)
 
-val translate : t -> int -> write:bool -> fetch:bool -> int * bool
-(** [translate t va ~write ~fetch] is [(pa, cached)]; raises {!Trap} on
-    failure.  Goes through the last-translation micro-cache at every
-    tier above [Step]. *)
+val translate_i : t -> int -> write:bool -> fetch:bool -> int
+(** [translate_i t va ~write ~fetch] is the physical address, with its
+    cacheability left in [t.tr_cached]; raises {!Trap} on failure.  Goes
+    through the translation cache at every tier above [Step] and
+    allocates nothing. *)
 
-val translate_walk : t -> int -> write:bool -> fetch:bool -> int * bool
-(** The full segment-check + TLB walk, never consulting the micro-cache —
-    the oracle that {!translate} must agree with on every (pa, cached,
-    exception) result. *)
+val translate_walk : t -> int -> write:bool -> fetch:bool -> int
+(** The full segment-check + TLB walk, never consulting the translation
+    cache (cacheability in [t.tr_cached], as above) — the oracle that
+    {!translate_i} must agree with on every (pa, cached, exception, counter)
+    result. *)
 
 (** {2 Physical memory access (host side too)} *)
 

@@ -15,10 +15,17 @@ type entry = {
   mutable lo : int;  (* pfn lsl 12 | flags *)
 }
 
+(* The vpn index is an intrusive hash chain: [head.(vpn land bucket_mask)]
+   is the most recently written entry in that bucket and [next.(k)] the
+   entry after [k] ([-1] ends a chain, [unlinked] marks an entry in no
+   chain).  Writing an entry moves it to the head of its bucket, so among
+   entries for the same vpn the chain order is most-recently-written first
+   — the order a match is chosen in when duplicates exist.  Plain int
+   arrays: a lookup walks the chain without allocating. *)
 type t = {
   entries : entry array;
-  (* vpn -> entry indices, to avoid a 64-way scan per reference *)
-  index : (int, int list) Hashtbl.t;
+  head : int array;
+  next : int array;
 }
 
 let size = 64
@@ -47,32 +54,45 @@ let lo_dirty lo = lo land entrylo_d <> 0
 let lo_global lo = lo land entrylo_g <> 0
 let lo_noncacheable lo = lo land entrylo_n <> 0
 
+let buckets = 128
+let bucket_mask = buckets - 1
+let unlinked = -2
+
 let create () =
   {
     entries = Array.init size (fun _ -> { hi = 0; lo = 0 });
-    index = Hashtbl.create 256;
+    head = Array.make buckets (-1);
+    next = Array.make size unlinked;
   }
 
 let reset t =
   Array.iteri
     (fun k e ->
-      (* Park each entry on a distinct impossible vpn so nothing matches. *)
+      (* Park each entry on a distinct impossible vpn, outside the index,
+         so nothing matches. *)
       e.hi <- make_entryhi ~vpn:(0xFFFFF - k) ~asid:0;
       e.lo <- 0)
     t.entries;
-  Hashtbl.reset t.index
+  Array.fill t.head 0 buckets (-1);
+  Array.fill t.next 0 size unlinked
 
 let index_remove t vpn k =
-  match Hashtbl.find_opt t.index vpn with
-  | None -> ()
-  | Some l -> (
-    match List.filter (fun x -> x <> k) l with
-    | [] -> Hashtbl.remove t.index vpn
-    | l' -> Hashtbl.replace t.index vpn l')
+  if t.next.(k) <> unlinked then begin
+    let b = vpn land bucket_mask in
+    let h = t.head.(b) in
+    if h = k then t.head.(b) <- t.next.(k)
+    else begin
+      let p = ref h in
+      while t.next.(!p) <> k do p := t.next.(!p) done;
+      t.next.(!p) <- t.next.(k)
+    end;
+    t.next.(k) <- unlinked
+  end
 
 let index_add t vpn k =
-  let l = Option.value ~default:[] (Hashtbl.find_opt t.index vpn) in
-  Hashtbl.replace t.index vpn (k :: l)
+  let b = vpn land bucket_mask in
+  t.next.(k) <- t.head.(b);
+  t.head.(b) <- k
 
 (* Write entry [k] with the given hi/lo (tlbwi / tlbwr). *)
 let write t k ~hi ~lo =
@@ -88,37 +108,31 @@ let read t k =
   let e = t.entries.(k) in
   (e.hi, e.lo)
 
-(* Probe for a matching entry (tlbp): matches on vpn and (global or asid). *)
-let probe t ~vpn ~asid =
-  match Hashtbl.find_opt t.index vpn with
-  | None -> None
-  | Some l ->
-    List.find_opt
-      (fun k ->
-        let e = t.entries.(k) in
-        hi_vpn e.hi = vpn && (lo_global e.lo || hi_asid e.hi = asid))
-      l
+(* Probe for a matching entry (tlbp): matches on vpn and (global or
+   asid).  Returns the entry index, or -1. *)
+let rec probe_from t k ~vpn ~asid =
+  if k < 0 then -1
+  else
+    let e = Array.unsafe_get t.entries k in
+    if hi_vpn e.hi = vpn && (lo_global e.lo || hi_asid e.hi = asid) then k
+    else probe_from t (Array.unsafe_get t.next k) ~vpn ~asid
 
-type lookup =
-  | Hit of { pfn : int; dirty : bool; noncacheable : bool }
-  | Miss          (* no matching entry: TLB refill *)
-  | Invalid       (* matching entry with V=0 *)
-  | Modified      (* store to a clean page *)
+let probe t ~vpn ~asid = probe_from t t.head.(vpn land bucket_mask) ~vpn ~asid
+
+(* Lookup results, as ints so a walk allocates nothing: a hit is the
+   matching entry's EntryLo (non-negative), the failures are negative. *)
+let miss = -1          (* no matching entry: TLB refill *)
+let invalid = -2       (* matching entry with V=0 *)
+let modified = -3      (* store to a clean page *)
 
 let lookup t ~vpn ~asid ~write:w =
-  match probe t ~vpn ~asid with
-  | None -> Miss
-  | Some k ->
-    let e = t.entries.(k) in
-    if not (lo_valid e.lo) then Invalid
-    else if w && not (lo_dirty e.lo) then Modified
-    else
-      Hit
-        {
-          pfn = lo_pfn e.lo;
-          dirty = lo_dirty e.lo;
-          noncacheable = lo_noncacheable e.lo;
-        }
+  let k = probe t ~vpn ~asid in
+  if k < 0 then miss
+  else
+    let lo = (Array.unsafe_get t.entries k).lo in
+    if not (lo_valid lo) then invalid
+    else if w && not (lo_dirty lo) then modified
+    else lo
 
 (* The R3000 Random register: decrements every cycle, cycling over
    [wired, size). *)

@@ -9,7 +9,11 @@ type entry = { mutable hi : int; mutable lo : int }
 
 type t = {
   entries : entry array;
-  index : (int, int list) Hashtbl.t;
+  head : int array;
+      (** Per vpn-hash bucket: the most recently written entry, or -1. *)
+  next : int array;
+      (** Per entry: the next entry in its bucket (-1 at the end, -2 when
+          the entry is in no bucket, as after {!reset}). *)
 }
 
 val size : int
@@ -44,15 +48,18 @@ val reset : t -> unit
 
 val write : t -> int -> hi:int -> lo:int -> unit
 val read : t -> int -> int * int
-val probe : t -> vpn:int -> asid:int -> int option
+val probe : t -> vpn:int -> asid:int -> int
+(** Index of the entry matching vpn and (global or asid), or -1.  Among
+    several matches the most recently written one wins. *)
 
-type lookup =
-  | Hit of { pfn : int; dirty : bool; noncacheable : bool }
-  | Miss
-  | Invalid
-  | Modified
+val miss : int
+val invalid : int
+val modified : int
 
-val lookup : t -> vpn:int -> asid:int -> write:bool -> lookup
+val lookup : t -> vpn:int -> asid:int -> write:bool -> int
+(** The matching entry's EntryLo on a hit (non-negative); otherwise
+    {!miss} (no match: refill), {!invalid} (V=0) or {!modified} (store to
+    a clean page).  Allocates nothing. *)
 
 val random_index : cycle:int -> int
 (** The Random register's value at a given cycle (cycles over

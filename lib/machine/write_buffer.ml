@@ -71,7 +71,7 @@ let store t ~now =
   let last =
     if t.count = 0 then now else t.ring.(wrap t (t.head + t.count - 1))
   in
-  let retire = max now last + t.drain_cycles in
+  let retire = (if now > last then now else last) + t.drain_cycles in
   t.ring.(wrap t (t.head + t.count)) <- retire;
   t.count <- t.count + 1;
   t.stall_cycles <- t.stall_cycles + stall;

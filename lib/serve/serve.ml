@@ -24,9 +24,9 @@ let scan_pipeline () =
   in
   { sink; diagnoses = (fun () -> !diag) }
 
-let to_parser_pipeline mk () =
+let to_parser_pipeline ?live mk () =
   let p = mk () in
-  let inner = Sink.to_parser p in
+  let inner = Sink.to_parser ?live p in
   let diag = ref 0 in
   let sink =
     Sink.make

@@ -43,10 +43,14 @@ val scan_pipeline : pipeline_factory
     stream; diagnoses are the scan's end-of-stream error count. *)
 
 val to_parser_pipeline :
-  (unit -> Systrace_tracing.Parser.t) -> pipeline_factory
+  ?live:int list -> (unit -> Systrace_tracing.Parser.t) -> pipeline_factory
 (** Full parse per stream; diagnoses are the parser's [parse_errors]
-    after [finish].  The argument builds each stream's parser (recover
-    mode recommended — a strict parser's exception faults the stream). *)
+    after [finish ?live].  The argument builds each stream's parser
+    (recover mode recommended — a strict parser's exception faults the
+    stream).  [live]: processes a clean stream may end inside, such as a
+    server blocked in receive ({!Systrace_kernel.Builder.server_pids});
+    without them every clean Mach stream reports the server's open block
+    as incomplete. *)
 
 type config = {
   unix_path : string option;  (** Unix-domain listener (unlinked first) *)

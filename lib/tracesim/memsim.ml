@@ -29,9 +29,10 @@ type config = {
   uncached_penalty : int;
   wb_depth : int;
   wb_drain : int;
-  (* Address-space knowledge: translate a mapped VA for [pid]; [None] for
-     an unmapped page (counted, treated as identity). *)
-  pagemap : int -> int -> int option;
+  (* Address-space knowledge: translate a mapped VA for [pid]; -1 for an
+     unmapped page (counted, treated as identity).  An int sentinel rather
+     than an option, so a lookup allocates nothing. *)
+  pagemap : int -> int -> int;
   (* kseg2 linear page-table base for each pid, for synthesizing the UTLB
      handler's PTE load. *)
   pt_base : int -> int;
@@ -110,11 +111,12 @@ let kseg2_base = 0xC0000000
 let asid_of_pid pid = pid + 1
 
 let translate t ~pid va =
-  match t.cfg.pagemap pid va with
-  | Some pa -> pa
-  | None ->
+  let pa = t.cfg.pagemap pid va in
+  if pa >= 0 then pa
+  else begin
     t.s.unmapped <- t.s.unmapped + 1;
     va land 0x00FFFFFF
+  end
 
 (* Synthesize the KTLB refill fast path: ifetches at the general vector
    plus the root-table load (kseg0: cached). *)
@@ -171,7 +173,10 @@ let synth_utlb t ~pid ~vpn =
   let pte_va = t.cfg.pt_base pid + (vpn * 4) in
   kseg2_access t ~pid ~is_load:true pte_va
 
-(* Map a virtual reference to a physical one, charging TLB behaviour. *)
+(* Map a virtual reference to a physical one, charging TLB behaviour:
+   the cached physical address, or [uncached] (-1) for kseg1. *)
+let uncached = -1
+
 let to_phys t ~pid va =
   if va < kuseg_limit then begin
     let vpn = va lsr 12 in
@@ -180,15 +185,15 @@ let to_phys t ~pid va =
         (Sim_tlb.access t.tlb ~vpn ~asid:(asid_of_pid pid) ~global:false
            ~user:true)
     then synth_utlb t ~pid ~vpn;
-    `Cached (translate t ~pid va)
+    translate t ~pid va
   end
-  else if va < kseg1_base then `Cached (va - 0x80000000)
-  else if va < kseg2_base then `Uncached
+  else if va < kseg1_base then va - 0x80000000
+  else if va < kseg2_base then uncached
   else begin
     let vpn = va lsr 12 in
     if not (Sim_tlb.access t.tlb ~vpn ~asid:0 ~global:true ~user:false) then
       synth_ktlb t;
-    `Cached (translate t ~pid va)
+    translate t ~pid va
   end
 
 let charge t ~kernel stall =
@@ -200,22 +205,24 @@ let on_inst t addr pid kernel =
   if kernel then t.s.kernel_insts <- t.s.kernel_insts + 1
   else t.s.user_insts <- t.s.user_insts + 1;
   Sim_wb.tick t.wb 1;
-  match to_phys t ~pid addr with
-  | `Cached pa ->
+  let pa = to_phys t ~pid addr in
+  if pa <> uncached then begin
     if not (Sim_cache_assoc.read t.icache pa) then begin
       t.s.icache_misses <- t.s.icache_misses + 1;
       charge t ~kernel t.cfg.read_miss_penalty;
       Sim_wb.tick t.wb t.cfg.read_miss_penalty
     end
-  | `Uncached ->
+  end
+  else begin
     t.s.uncached_reads <- t.s.uncached_reads + 1;
     charge t ~kernel t.cfg.uncached_penalty;
     Sim_wb.tick t.wb t.cfg.uncached_penalty
+  end
 
 let on_data t addr pid kernel is_load _bytes =
   t.s.datas <- t.s.datas + 1;
-  match to_phys t ~pid addr with
-  | `Cached pa ->
+  let pa = to_phys t ~pid addr in
+  if pa <> uncached then begin
     if is_load then begin
       if not (Sim_cache_assoc.read t.dcache pa) then begin
         t.s.dcache_read_misses <- t.s.dcache_read_misses + 1;
@@ -229,7 +236,8 @@ let on_data t addr pid kernel is_load _bytes =
       charge t ~kernel stall;
       t.s.wb_stalls <- t.s.wb_stalls + stall
     end
-  | `Uncached ->
+  end
+  else begin
     charge t ~kernel t.cfg.uncached_penalty;
     if is_load then begin
       t.s.uncached_reads <- t.s.uncached_reads + 1;
@@ -239,6 +247,7 @@ let on_data t addr pid kernel is_load _bytes =
       t.s.uncached_writes <- t.s.uncached_writes + 1;
       Sim_wb.tick t.wb t.cfg.uncached_penalty
     end
+  end
 
 let handlers t : Parser.handlers =
   {
@@ -340,7 +349,7 @@ type lane = {
 type sweep = {
   sw_groups : group array;
   sw_lanes : lane array;
-  sw_pagemap : int -> int -> int option;
+  sw_pagemap : int -> int -> int;
   sw_pt_base : int -> int;
   (* trace-only counters, identical for every configuration *)
   mutable sv_insts : int;
@@ -520,12 +529,16 @@ let g_dc_read g pa ctx =
     if not (Sim_cache_assoc.read u.du_cache pa) then bump u.du_ctr ctx
   done
 
-let g_translate sw g pid va =
-  match sw.sw_pagemap pid va with
-  | Some pa -> pa
-  | None ->
+(* a page-map result ([-1]: unmapped, counted per group and treated as
+   identity) as the physical address the group's caches see *)
+let g_phys g va pa =
+  if pa >= 0 then pa
+  else begin
     g.gr_unmapped <- g.gr_unmapped + 1;
     va land 0x00FFFFFF
+  end
+
+let g_translate sw g pid va = g_phys g va (sw.sw_pagemap pid va)
 
 (* the synthesized handler paths, exactly mirroring [synth_ktlb],
    [kseg2_access ~is_load:true] and [synth_utlb] above, minus the eager
@@ -575,19 +588,12 @@ let sweep_on_inst sw addr pid kernel =
   if addr < kuseg_limit then begin
     let vpn = addr lsr 12 in
     let asid = asid_of_pid pid in
-    let pa_opt = sw.sw_pagemap pid addr in
+    let mapped = sw.sw_pagemap pid addr in
     for i = 0 to Array.length groups - 1 do
       let g = Array.unsafe_get groups i in
       if not (Sim_tlb.access g.gr_tlb ~vpn ~asid ~global:false ~user:true)
       then g_synth_utlb sw g pid vpn;
-      let pa =
-        match pa_opt with
-        | Some pa -> pa
-        | None ->
-          g.gr_unmapped <- g.gr_unmapped + 1;
-          addr land 0x00FFFFFF
-      in
-      g_ic_read g pa ctx
+      g_ic_read g (g_phys g addr mapped) ctx
     done
   end
   else if addr < kseg1_base then begin
@@ -603,19 +609,12 @@ let sweep_on_inst sw addr pid kernel =
   end
   else begin
     let vpn = addr lsr 12 in
-    let pa_opt = sw.sw_pagemap pid addr in
+    let mapped = sw.sw_pagemap pid addr in
     for i = 0 to Array.length groups - 1 do
       let g = Array.unsafe_get groups i in
       if not (Sim_tlb.access g.gr_tlb ~vpn ~asid:0 ~global:true ~user:false)
       then g_synth_ktlb g;
-      let pa =
-        match pa_opt with
-        | Some pa -> pa
-        | None ->
-          g.gr_unmapped <- g.gr_unmapped + 1;
-          addr land 0x00FFFFFF
-      in
-      g_ic_read g pa ctx
+      g_ic_read g (g_phys g addr mapped) ctx
     done
   end
 
@@ -623,7 +622,7 @@ let sweep_on_data sw addr pid kernel is_load _bytes =
   sw.sv_datas <- sw.sv_datas + 1;
   if addr >= kseg1_base && addr < kseg2_base then begin
     (* uncached: classification and charge are trace-only, no per-group
-       state is touched (matching [to_phys]'s `Uncached path) *)
+       state is touched (matching [to_phys]'s uncached path) *)
     if is_load then sw.sv_unc_dload <- sw.sv_unc_dload + 1
     else sw.sv_unc_dstore <- sw.sv_unc_dstore + 1;
     if kernel then sw.sv_unc_kernel <- sw.sv_unc_kernel + 1
@@ -634,9 +633,7 @@ let sweep_on_data sw addr pid kernel is_load _bytes =
     if is_load then sw.sv_dloads_cached <- sw.sv_dloads_cached + 1;
     let kuseg = addr < kuseg_limit in
     let kseg2 = addr >= kseg2_base in
-    let pa_opt =
-      if kuseg || kseg2 then sw.sw_pagemap pid addr else None
-    in
+    let mapped = if kuseg || kseg2 then sw.sw_pagemap pid addr else -1 in
     let groups = sw.sw_groups in
     for i = 0 to Array.length groups - 1 do
       let g = Array.unsafe_get groups i in
@@ -655,13 +652,7 @@ let sweep_on_data sw addr pid kernel is_load _bytes =
          then g_synth_ktlb g
        end);
       let pa =
-        if kuseg || kseg2 then
-          match pa_opt with
-          | Some pa -> pa
-          | None ->
-            g.gr_unmapped <- g.gr_unmapped + 1;
-            addr land 0x00FFFFFF
-        else addr - 0x80000000
+        if kuseg || kseg2 then g_phys g addr mapped else addr - 0x80000000
       in
       if is_load then g_dc_read g pa ctx
       else begin

@@ -20,8 +20,9 @@ type config = {
   uncached_penalty : int;
   wb_depth : int;
   wb_drain : int;
-  pagemap : int -> int -> int option;
-      (** [pagemap pid va]: physical translation of a mapped address. *)
+  pagemap : int -> int -> int;
+      (** [pagemap pid va]: physical translation of a mapped address, or
+          -1 when the page is unmapped. *)
   pt_base : int -> int;
       (** kseg2 linear page-table base per pid (UTLB synthesis). *)
   utlb_handler_insns : int;

@@ -79,25 +79,25 @@ let set_of t ln = if t.set_mask >= 0 then ln land t.set_mask else ln mod t.nsets
    untouched; only a miss pays the LRU scan.  Hits dominate, and with the
    sweep fanning every reference out to a dozen cache units the saved
    stamp traffic is a measured win. *)
-let probe t set ln =
-  let base = set * t.ways in
-  let rec find w =
-    if w >= t.ways then begin
-      let lru = ref 0 in
-      let lru_stamp = ref max_int in
-      for w = 0 to t.ways - 1 do
-        let s = Array.unsafe_get t.stamps (base + w) in
-        if s < !lru_stamp then begin
-          lru_stamp := s;
-          lru := w
-        end
-      done;
-      -1 - !lru
-    end
-    else if Array.unsafe_get t.tags (base + w) = ln then w
-    else find (w + 1)
-  in
-  find 0
+let rec probe_from t base ln w =
+  if w >= t.ways then begin
+    let lru = ref 0 in
+    let lru_stamp = ref max_int in
+    for w = 0 to t.ways - 1 do
+      let s = Array.unsafe_get t.stamps (base + w) in
+      if s < !lru_stamp then begin
+        lru_stamp := s;
+        lru := w
+      end
+    done;
+    -1 - !lru
+  end
+  else if Array.unsafe_get t.tags (base + w) = ln then w
+  else probe_from t base ln (w + 1)
+
+(* A toplevel recursion rather than a local one: a local [find] would
+   capture [t], [base] and [ln] in a closure allocated per access. *)
+let probe t set ln = probe_from t (set * t.ways) ln 0
 
 let touch t set w =
   t.clock <- t.clock + 1;

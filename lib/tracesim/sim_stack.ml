@@ -61,16 +61,16 @@ let create ~line_bytes ~nsets ~ways =
    member i, in [ways] order, missed).  The line moves to the stack top,
    which is simultaneously the LRU touch of every hitting member and the
    MRU fill of every missing one. *)
+let rec depth t base ln d =
+  if d >= t.maxw then -1
+  else if Array.unsafe_get t.stacks (base + d) = ln then d
+  else depth t base ln (d + 1)
+
 let read t pa =
   let ln = pa lsr t.line_shift in
   let set = if t.set_mask >= 0 then ln land t.set_mask else ln mod t.nsets in
   let base = set * t.maxw in
-  let rec find d =
-    if d >= t.maxw then -1
-    else if Array.unsafe_get t.stacks (base + d) = ln then d
-    else find (d + 1)
-  in
-  let d = find 0 in
+  let d = depth t base ln 0 in
   if d = 0 then 0
   else begin
     let stop = if d < 0 then t.maxw - 1 else d in

@@ -60,13 +60,13 @@ let reset t =
   t.kernel_misses <- 0;
   t.hits <- 0
 
-let find t ~vpn ~asid =
-  let rec go i =
-    if i >= t.size then -1
-    else if t.vpns.(i) = vpn && (t.globals.(i) || t.asids.(i) = asid) then i
-    else go (i + 1)
-  in
-  go 0
+(* The scan, as a toplevel recursion so no closure is allocated. *)
+let rec find_from t ~vpn ~asid i =
+  if i >= t.size then -1
+  else if t.vpns.(i) = vpn && (t.globals.(i) || t.asids.(i) = asid) then i
+  else find_from t ~vpn ~asid (i + 1)
+
+let find t ~vpn ~asid = find_from t ~vpn ~asid 0
 
 (* Access a mapped address; refills on miss (the software handler always
    refills exactly one entry). Returns [true] on hit. *)

@@ -69,26 +69,35 @@ let ring_create ~depth ~drain_cycles =
   { rdepth = depth; rdrain = drain_cycles; rbuf = Array.make depth 0;
     rhead = 0; rcount = 0 }
 
+(* Ring indices stay in [0, 2*depth), so one compare-and-subtract wraps
+   them: cheaper than [mod] by the run-time depth, as in the machine's
+   [Write_buffer]. *)
+let[@inline] ring_wrap r i = if i >= r.rdepth then i - r.rdepth else i
+
 let ring_store r ~clock =
   (* entries at or before [clock] have retired *)
-  while r.rcount > 0 && r.rbuf.(r.rhead) <= clock do
-    r.rhead <- (r.rhead + 1) mod r.rdepth;
+  while r.rcount > 0 && Array.unsafe_get r.rbuf r.rhead <= clock do
+    r.rhead <- ring_wrap r (r.rhead + 1);
     r.rcount <- r.rcount - 1
   done;
-  let stall, clock =
-    if r.rcount < r.rdepth then (0, clock)
+  let stall =
+    if r.rcount < r.rdepth then 0
     else begin
-      let oldest = r.rbuf.(r.rhead) in
-      r.rhead <- (r.rhead + 1) mod r.rdepth;
+      let oldest = Array.unsafe_get r.rbuf r.rhead in
+      r.rhead <- ring_wrap r (r.rhead + 1);
       r.rcount <- r.rcount - 1;
-      (oldest - clock, oldest)
+      oldest - clock
     end
   in
+  let clock = clock + stall in
   let last =
-    if r.rcount > 0 then r.rbuf.((r.rhead + r.rcount - 1) mod r.rdepth)
+    if r.rcount > 0 then
+      Array.unsafe_get r.rbuf (ring_wrap r (r.rhead + r.rcount - 1))
     else clock
   in
-  r.rbuf.((r.rhead + r.rcount) mod r.rdepth) <- max clock last + r.rdrain;
+  Array.unsafe_set r.rbuf
+    (ring_wrap r (r.rhead + r.rcount))
+    ((if clock > last then clock else last) + r.rdrain);
   r.rcount <- r.rcount + 1;
   stall
 

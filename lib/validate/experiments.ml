@@ -816,7 +816,7 @@ let drain_ablation_table ?(wname = "sed") () =
           uncached_penalty = 6;
           wb_depth = 4;
           wb_drain = 5;
-          pagemap = (fun _ _ -> None);
+          pagemap = (fun _ _ -> -1);
           pt_base = Kcfg.pt_base_va;
           utlb_handler_insns = 8;
           ktlb_handler_insns = 24;

@@ -193,12 +193,7 @@ let predict_sweep ?pagemap ?(seed = 1) ?(arith_stalls = -1) ?geometries os
      chunk — O(in-kernel buffer) — not the trace length.  The peak branch
      of the tee is the witness the stream bench checks against the buffer
      size. *)
-  let live =
-    List.filter_map
-      (fun (pi : Builder.proc_info) ->
-        if pi.prog.Builder.is_server then Some pi.pid else None)
-      t.Builder.procs
-  in
+  let live = Builder.server_pids t in
   let peak_sink, peak_words = Sink.peak () in
   let sink = Sink.tee [ peak_sink; Memsim.sweep_sink ~live sw parser ] in
   t.Builder.trace_sink <- Some (fun words len -> sink.Sink.on_words words ~len);

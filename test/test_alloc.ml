@@ -1,0 +1,143 @@
+(* Allocation regression tests for the memory-reference path.  Every
+   simulated reference passes through these calls, in the interpreter
+   (translation) and in the trace-driven simulator (cache, LRU stack,
+   TLB, page map); each must allocate nothing, measured as the
+   [Gc.minor_words] delta over many calls.  A closure, tuple, option or
+   boxed float creeping back into one of them shows here as a whole
+   number of words per call. *)
+
+open Systrace
+
+module Machine = Systrace_machine.Machine
+module Tlb = Systrace_machine.Tlb
+module Addr = Systrace_machine.Addr
+module Builder = Systrace_kernel.Builder
+module Kcfg = Systrace_kernel.Kcfg
+module Sim_cache_assoc = Systrace_tracesim.Sim_cache_assoc
+module Sim_stack = Systrace_tracesim.Sim_stack
+module Sim_tlb = Systrace_tracesim.Sim_tlb
+
+let calls = 100_000
+
+(* Minor words allocated per call of [f], after one warm-up call. *)
+let words_per_call f =
+  f 0;
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+let check_zero what f =
+  Alcotest.(check (float 0.0)) (what ^ ": minor words per call") 0.0
+    (words_per_call f)
+
+(* A reference stream with hits and misses: a strided walk over more
+   lines than the cache holds, revisiting each line a few times. *)
+let addr i = ((i / 4) * 4112) land 0xFFFFF
+
+let test_sim_cache_assoc () =
+  List.iter
+    (fun ways ->
+      let c =
+        Sim_cache_assoc.create ~size_bytes:16384 ~line_bytes:16 ~ways ()
+      in
+      check_zero (Printf.sprintf "Sim_cache_assoc.read, %d-way" ways)
+        (fun i -> ignore (Sim_cache_assoc.read c (addr i)));
+      check_zero (Printf.sprintf "Sim_cache_assoc.write, %d-way" ways)
+        (fun i -> ignore (Sim_cache_assoc.write c (addr i)));
+      Alcotest.(check bool) "both outcomes seen" true
+        (c.Sim_cache_assoc.read_hits > 0 && c.Sim_cache_assoc.read_misses > 0))
+    [ 1; 4 ]
+
+let test_sim_stack () =
+  let st = Sim_stack.create ~line_bytes:16 ~nsets:256 ~ways:[| 1; 2; 4 |] in
+  check_zero "Sim_stack.read" (fun i -> ignore (Sim_stack.read st (addr i)))
+
+let test_sim_tlb () =
+  let t = Sim_tlb.create () in
+  (* 200 pages over 3 asids: far more than the memo and the TLB hold, so
+     most calls scan and many refill *)
+  check_zero "Sim_tlb.access" (fun i ->
+      ignore
+        (Sim_tlb.access t ~vpn:(i * 7 mod 200) ~asid:(i mod 3) ~global:false
+           ~user:true));
+  Alcotest.(check bool) "misses exercised" true (t.Sim_tlb.user_misses > 1000)
+
+let test_translate_i () =
+  let m = Machine.create () in
+  for vpn = 0 to 7 do
+    Tlb.write m.Machine.tlb vpn
+      ~hi:(Tlb.make_entryhi ~vpn ~asid:0)
+      ~lo:(Tlb.make_entrylo ~pfn:(vpn + 16) ())
+  done;
+  (* mapped kuseg pages and kseg0, loads and stores: every call hits *)
+  let va i =
+    if i land 1 = 0 then ((i lsr 1) land 7) lsl 12
+    else Addr.kseg0_base + (((i lsr 1) land 7) lsl 12)
+  in
+  for i = 0 to 15 do
+    ignore (Machine.translate_i m (va i) ~write:false ~fetch:false);
+    ignore (Machine.translate_i m (va i) ~write:true ~fetch:false)
+  done;
+  check_zero "Machine.translate_i (load)" (fun i ->
+      ignore (Machine.translate_i m (va i) ~write:false ~fetch:false));
+  check_zero "Machine.translate_i (store)" (fun i ->
+      ignore (Machine.translate_i m (va i) ~write:true ~fetch:false))
+
+(* A traced egrep/Ultrix system, run to completion, with its run's minor
+   words per instruction. *)
+let traced_egrep =
+  lazy
+    (let e = Workloads.Suite.find "egrep" in
+     let cfg = { Builder.default_config with Builder.traced = true } in
+     let t =
+       Builder.build ~cfg ~programs:[ e.Workloads.Suite.program () ]
+         ~files:e.Workloads.Suite.files ()
+     in
+     let w0 = Gc.minor_words () in
+     (match Builder.run t ~max_insns:2_000_000_000 with
+     | Machine.Halt -> ()
+     | Machine.Limit -> Alcotest.fail "egrep did not halt");
+     let words = Gc.minor_words () -. w0 in
+     (t, words /. float_of_int t.Builder.machine.Machine.c.Machine.instructions))
+
+let test_pagemap_lookup () =
+  let t, _ = Lazy.force traced_egrep in
+  let pm = Builder.extract_pagemap t in
+  let pid = (List.hd t.Builder.procs).Builder.pid in
+  (* user text, data and stack pages, and the text's PTEs in kseg2 *)
+  let va i =
+    match i land 3 with
+    | 0 -> Kcfg.user_text_va + ((i * 4) land 0x3FFF)
+    | 1 -> Kcfg.user_data_va + ((i * 4) land 0xFFF)
+    | 2 -> Kcfg.user_stack_top - 4 - ((i * 4) land 0xFFF)
+    | _ ->
+      Kcfg.pt_base_va pid + ((Kcfg.user_text_va lsr 12) * 4) + ((i * 4) land 0xFFF)
+  in
+  let mapped = ref 0 in
+  for i = 0 to 3 do
+    if pm pid (va i) >= 0 then incr mapped
+  done;
+  Alcotest.(check int) "every probed page mapped" 4 !mapped;
+  check_zero "extract_pagemap lookup" (fun i -> ignore (pm pid (va i)))
+
+(* Before the translation cache went multi-entry and the walk
+   allocation-free, this run allocated 2.4 words per instruction. *)
+let test_traced_run_words () =
+  let _, per_insn = Lazy.force traced_egrep in
+  if per_insn >= 0.5 then
+    Alcotest.failf "traced egrep/Ultrix: %.3f minor words per instruction (bound 0.5)"
+      per_insn
+
+let tests =
+  [
+    Alcotest.test_case "Sim_cache_assoc read/write (1, 4 ways)" `Quick
+      test_sim_cache_assoc;
+    Alcotest.test_case "Sim_stack.read" `Quick test_sim_stack;
+    Alcotest.test_case "Sim_tlb.access with memo misses" `Quick test_sim_tlb;
+    Alcotest.test_case "Machine.translate_i, warm cache" `Quick test_translate_i;
+    Alcotest.test_case "extract_pagemap lookup" `Quick test_pagemap_lookup;
+    Alcotest.test_case "traced egrep/Ultrix minor words per insn" `Quick
+      test_traced_run_words;
+  ]

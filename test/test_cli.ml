@@ -1,0 +1,48 @@
+(* The systrace command line, driven as a user runs it: the binary is a
+   test dependency, each case spawns it and checks its output and exit
+   status. *)
+
+let cli =
+  (* beside the test under dune runtest; from the repo root otherwise *)
+  List.find Sys.file_exists
+    [ "../bin/systrace_cli.exe"; "_build/default/bin/systrace_cli.exe" ]
+
+(* Run the CLI; its stdout lines and exit code. *)
+let run args =
+  let ic = Unix.open_process_args_in cli (Array.of_list (cli :: args)) in
+  let rec lines acc =
+    match input_line ic with
+    | l -> lines (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let out = lines [] in
+  let code =
+    match Unix.close_process_in ic with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  (out, code)
+
+(* A clean Mach trace ends with the UX server still blocked in receive:
+   [check -w] must pass it to the parser as live, or it reports the
+   server's open block as incomplete and fails a clean dump. *)
+let test_check_clean_mach_dump () =
+  let path = Filename.temp_file "systrace_cli" ".strc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let _, code = run [ "dump"; "gcc"; "--os"; "mach"; "-o"; path ] in
+      Alcotest.(check int) "dump exit" 0 code;
+      let out, code = run [ "check"; path; "-w"; "gcc"; "--os"; "mach" ] in
+      let has prefix = List.exists (String.starts_with ~prefix) out in
+      if not (has "full parse against gcc tables: 0 diagnosis(es)") then
+        Alcotest.failf "full parse diagnosed a clean dump:\n%s"
+          (String.concat "\n" out);
+      Alcotest.(check bool) "reports OK" true (has (path ^ ": OK"));
+      Alcotest.(check int) "check exit" 0 code)
+
+let tests =
+  [
+    Alcotest.test_case "check -w: clean gcc/Mach dump" `Quick
+      test_check_clean_mach_dump;
+  ]

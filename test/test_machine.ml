@@ -697,19 +697,25 @@ let test_context_register () =
     (m.Machine.regs.(Reg.s0) land 0xFFE00000)
 
 (* ------------------------------------------------------------------ *)
-(* Translation micro-cache vs the full TLB walk                        *)
+(* Translation cache vs the full TLB walk                              *)
 
 (* Random CP0 traffic for the property below.  Every mutation runs as real
-   instructions (mtc0/tlbwi/tlbwr/rfe), so the micro-cache sees exactly the
-   invalidation points the interpreter gives it — a direct [Tlb.write]
-   would bypass them and prove nothing. *)
+   instructions (mtc0/tlbwi/tlbwr/rfe, faulting loads), so the translation
+   cache sees exactly the invalidation points the interpreter gives it — a
+   direct [Tlb.write] would bypass them and prove nothing.  The mutations
+   include the ones that must not flush (IE-only status writes, same-ASID
+   entryhi writes, context writes, exceptions from either mode) next to
+   the ones that must (entering user mode, ASID changes, TLB writes). *)
 type tc_op =
   | Access of { va : int; write : bool; fetch : bool }
   | Op_tlbwi of { hi : int; lo : int; index : int }
   | Op_tlbwr of { hi : int; lo : int }
   | Op_status of int
+  | Op_user of { status : int; by_rfe : bool }
   | Op_entryhi of int
+  | Op_entryhi_vpn of int
   | Op_context of int
+  | Op_fault of int
   | Op_rfe
 
 let tc_machine () =
@@ -735,7 +741,16 @@ let tc_machine () =
       Asm.tlbwr a);
   snippet "op_status" (fun () -> Asm.mtc0 a Reg.t0 Insn.C0_status);
   snippet "op_entryhi" (fun () -> Asm.mtc0 a Reg.t0 Insn.C0_entryhi);
+  (* rewrite entryhi's vpn field, keeping the ASID *)
+  snippet "op_entryhi_vpn" (fun () ->
+      Asm.mfc0 a Reg.t1 Insn.C0_entryhi;
+      Asm.andi a Reg.t1 Reg.t1 0xFC0;
+      Asm.or_ a Reg.t1 Reg.t1 Reg.t0;
+      Asm.mtc0 a Reg.t1 Insn.C0_entryhi);
   snippet "op_context" (fun () -> Asm.mtc0 a Reg.t0 Insn.C0_context);
+  (* a load that may fault: the exception (taken in kernel mode) rewrites
+     entryhi and pushes the KU stack, then the vector stub halts *)
+  snippet "op_fault" (fun () -> Asm.lw a Reg.t1 Reg.t0 0);
   snippet "op_rfe" (fun () -> Asm.rfe a);
   let exe =
     Link.link ~name:"tcprop" ~text_base:text_va ~data_base:data_va
@@ -744,33 +759,79 @@ let tc_machine () =
   let m = Machine.create () in
   Machine.load_exe_phys m exe ~text_pa:(Addr.kseg0_pa text_va)
     ~data_pa:(Addr.kseg0_pa data_va);
+  List.iter
+    (fun v ->
+      Machine.write_phys_u32 m (Addr.kseg0_pa v)
+        (Encode.encode ~pc:v (Insn.Hcall 0)))
+    [ Addr.utlb_vector; Addr.general_vector ];
   m.Machine.hcall_handler <- Some (fun m code -> if code = 0 then Machine.halt m);
   (m, exe)
 
-let tc_run_snippet m exe name =
+let tc_run m exe name ~max_insns =
   m.Machine.pc <- Exe.symbol exe name;
   m.Machine.npc <- m.Machine.pc + 4;
   m.Machine.next_is_delay <- false;
   m.Machine.halted <- false;
-  match Machine.run m ~max_insns:20 with
-  | Machine.Halt -> ()
-  | Machine.Limit -> Alcotest.fail (name ^ ": snippet did not halt")
+  Machine.run m ~max_insns
 
-(* The machine stays in kernel mode so snippets keep executing: random
-   status values have their KU stack masked off. *)
+(* Snippets live in kseg0, so they run in kernel mode.  A machine left in
+   user mode by [Op_user] gets back the way real code does: the first
+   fetch faults, and the exception entry (a KU flip) lands on the vector
+   stub. *)
+let tc_run_snippet m exe name =
+  let go name =
+    match tc_run m exe name ~max_insns:20 with
+    | Machine.Halt -> ()
+    | Machine.Limit -> Alcotest.fail (name ^ ": snippet did not halt")
+  in
+  if Machine.user_mode m then go "_start";
+  go name
+
+(* Random status values keep the machine in kernel mode (their KU stack is
+   masked off), so they are IE/IM-only writes; [Op_user] is the KU flip,
+   by mtc0 or by rfe. *)
 let tc_status_mask = lnot 0x2A
+
+(* Pages.  Mapped accesses and TLB entries share a small hot set — a few
+   low vpns plus vpns that alias in the translation cache (four per slot,
+   for four slots) — so entries get cached, overwritten, duplicated and
+   retargeted by ASID.  Unmapped segments also range over more distinct
+   vpns than a class has slots, for eviction. *)
+let tc_aliases =
+  let rec collect slot v acc =
+    if List.length acc = 4 then List.rev acc
+    else collect slot (v + 1) (if Machine.tc_slot v = slot then v :: acc else acc)
+  in
+  Array.of_list (List.concat_map (fun slot -> collect slot 0 []) [ 0; 1; 2; 3 ])
+
+let tc_gen_hot_page =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, int_range 0 7);
+      (1, map (Array.get tc_aliases) (int_bound (Array.length tc_aliases - 1)));
+    ]
 
 let tc_gen_op =
   let open QCheck.Gen in
-  let vpn = int_range 0 7 in
   let va =
-    map2
-      (fun seg vpn -> seg lor (vpn lsl 12) lor 0x100)
-      (oneofl [ 0x0000_0000; 0x0000_4000; 0x8000_0000; 0xA000_0000; 0xC000_0000 ])
-      vpn
+    frequency
+      [
+        (3, map2 (fun kseg2 page ->
+                 (if kseg2 then 0xC000_0000 else 0) lor (page lsl 12) lor 0x100)
+              bool tc_gen_hot_page);
+        (2, map2 (fun seg page -> seg lor (page lsl 12) lor 0x100)
+              (oneofl [ 0x8000_0000; 0xA000_0000 ])
+              (frequency
+                 [ (1, tc_gen_hot_page); (1, int_range 0 (3 * Machine.tc_slots)) ]));
+      ]
+  in
+  let mapped_vpn =
+    map2 (fun kseg2 page -> if kseg2 then 0xC0000 + page else page) bool
+      tc_gen_hot_page
   in
   let entry_hi =
-    map2 (fun vpn asid -> Tlb.make_entryhi ~vpn ~asid) vpn (int_range 0 3)
+    map2 (fun vpn asid -> Tlb.make_entryhi ~vpn ~asid) mapped_vpn (int_range 0 3)
   in
   let entry_lo =
     map2
@@ -779,24 +840,48 @@ let tc_gen_op =
       (int_range 0 15)
       (quad bool bool bool bool)
   in
+  (* mostly a few indexes, so writes overwrite live entries *)
+  let index = frequency [ (3, int_range 0 7); (1, int_range 8 63) ] in
   frequency
     [
-      (6, map3 (fun va write fetch ->
+      (10, map3 (fun va write fetch ->
                Access { va; write; fetch = fetch && not write })
             va bool bool);
-      (2, map3 (fun hi lo index -> Op_tlbwi { hi; lo; index = index lsl 8 })
-            entry_hi entry_lo (int_range 0 63));
+      (3, map3 (fun hi lo index -> Op_tlbwi { hi; lo; index = index lsl 8 })
+            entry_hi entry_lo index);
       (1, map2 (fun hi lo -> Op_tlbwr { hi; lo }) entry_hi entry_lo);
       (1, map (fun s -> Op_status (s land tc_status_mask)) (int_bound 0xFFFF));
-      (1, map (fun hi -> Op_entryhi hi) entry_hi);
+      (2, map2 (fun s by_rfe -> Op_user { status = s land tc_status_mask; by_rfe })
+            (int_bound 0xFFFF) bool);
+      (2, map (fun hi -> Op_entryhi hi) entry_hi);
+      (1, map (fun vpn -> Op_entryhi_vpn (vpn lsl 12)) mapped_vpn);
       (1, map (fun c -> Op_context (c lsl 21)) (int_bound 0x3F));
+      (1, map (fun va -> Op_fault va) va);
       (1, return Op_rfe);
     ]
 
 let tc_arb_ops =
   QCheck.make
     ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
-    QCheck.Gen.(list_size (int_range 1 60) tc_gen_op)
+    QCheck.Gen.(list_size (int_range 1 120) tc_gen_op)
+
+let tc_counters (m : Machine.t) =
+  let c = m.Machine.c in
+  (c.Machine.utlb_misses, c.Machine.ktlb_misses, c.Machine.tlb_invalid,
+   c.Machine.tlb_mod)
+
+(* Every hot page in every segment and class: swept after each mutation,
+   so every entry the cache holds is re-checked against the walk at each
+   invalidation point. *)
+let tc_probes =
+  List.concat_map
+    (fun seg ->
+      List.concat_map
+        (fun page ->
+          let va = seg lor (page lsl 12) lor 0x100 in
+          [ (va, false, true); (va, false, false); (va, true, false) ])
+        (List.init 8 Fun.id @ Array.to_list tc_aliases))
+    [ 0x0000_0000; 0x8000_0000; 0xA000_0000; 0xC000_0000 ]
 
 let prop_tcache_matches_walk =
   QCheck.Test.make ~count:100
@@ -804,51 +889,135 @@ let prop_tcache_matches_walk =
     tc_arb_ops
     (fun ops ->
       let m, exe = tc_machine () in
+      (* (pa, cached) or the trap, plus the counters the call moved *)
       let result f =
-        match f () with
-        | r -> Ok r
-        | exception Machine.Trap { code; badva; refill } ->
-          Error (code, badva, refill)
+        let before = tc_counters m in
+        let r =
+          match f () with
+          | pa -> Ok (pa, m.Machine.tr_cached)
+          | exception Machine.Trap { code; badva; refill } ->
+            Error (code, badva, refill)
+        in
+        (r, before, tc_counters m)
+      in
+      let delta (r, (a, b, c, d), (a', b', c', d')) =
+        (r, (a' - a, b' - b, c' - c, d' - d))
+      in
+      let access va ~write ~fetch =
+        (* Oracle first: the walk never reads the translation cache. *)
+        let oracle =
+          delta (result (fun () -> Machine.translate_walk m va ~write ~fetch))
+        in
+        let fast =
+          delta (result (fun () -> Machine.translate_i m va ~write ~fetch))
+        in
+        fast = oracle
+      in
+      let sweep () =
+        List.for_all
+          (fun (va, write, fetch) -> access va ~write ~fetch)
+          tc_probes
       in
       List.for_all
         (fun op ->
           match op with
-          | Access { va; write; fetch } ->
-            (* Oracle first: the walk never reads the micro-cache, so the
-               order only affects counters, which we don't compare. *)
-            let oracle =
-              result (fun () -> Machine.translate_walk m va ~write ~fetch)
-            in
-            let fast =
-              result (fun () -> Machine.translate m va ~write ~fetch)
-            in
-            fast = oracle
+          | Access { va; write; fetch } -> access va ~write ~fetch
           | Op_tlbwi { hi; lo; index } ->
             m.Machine.regs.(Reg.t0) <- hi;
             m.Machine.regs.(Reg.t1) <- lo;
             m.Machine.regs.(Reg.t2) <- index;
             tc_run_snippet m exe "op_tlbwi";
-            true
+            sweep ()
           | Op_tlbwr { hi; lo } ->
             m.Machine.regs.(Reg.t0) <- hi;
             m.Machine.regs.(Reg.t1) <- lo;
             tc_run_snippet m exe "op_tlbwr";
-            true
+            sweep ()
           | Op_status s ->
             m.Machine.regs.(Reg.t0) <- s;
             tc_run_snippet m exe "op_status";
-            true
+            sweep ()
+          | Op_user { status; by_rfe } ->
+            (* run only the mtc0 (status with KUc set) or the rfe (after
+               setting KUp): the machine stays in user mode for the
+               accesses that follow *)
+            let user = 0x2 lsl (if by_rfe then 2 else 0) in
+            m.Machine.regs.(Reg.t0) <- status lor user;
+            if by_rfe then tc_run_snippet m exe "op_status"
+            else if Machine.user_mode m then tc_run_snippet m exe "_start";
+            (match
+               tc_run m exe (if by_rfe then "op_rfe" else "op_status") ~max_insns:1
+             with
+            | Machine.Limit -> ()
+            | Machine.Halt -> Alcotest.fail "single instruction halted");
+            Machine.user_mode m && sweep ()
           | Op_entryhi hi ->
             m.Machine.regs.(Reg.t0) <- hi;
             tc_run_snippet m exe "op_entryhi";
-            true
+            sweep ()
+          | Op_entryhi_vpn v ->
+            m.Machine.regs.(Reg.t0) <- v;
+            tc_run_snippet m exe "op_entryhi_vpn";
+            sweep ()
           | Op_context c ->
             m.Machine.regs.(Reg.t0) <- c;
             tc_run_snippet m exe "op_context";
-            true
+            sweep ()
+          | Op_fault va ->
+            m.Machine.regs.(Reg.t0) <- va;
+            tc_run_snippet m exe "op_fault";
+            sweep ()
           | Op_rfe ->
             tc_run_snippet m exe "op_rfe";
-            true)
+            sweep ())
+        ops)
+
+(* The TLB's vpn index against a reference model: among the entries
+   written since the last reset that match (vpn, and global or asid),
+   [probe] picks the most recently written one — the order duplicates
+   resolve in, which translation results depend on. *)
+let prop_tlb_probe_order =
+  let open QCheck in
+  let op =
+    Gen.(
+      map3
+        (fun (k, vpn) (asid, global) probe -> (k, vpn, asid, global, probe))
+        (pair (int_bound 7) (int_bound 3))
+        (pair (int_bound 2) bool) bool)
+  in
+  Test.make ~count:300 ~name:"tlb probe picks the most recent matching write"
+    (make Gen.(list_size (int_range 1 80) op))
+    (fun ops ->
+      let t = Tlb.create () in
+      Tlb.reset t;
+      (* per entry: (hi, lo, write time), None until written *)
+      let model = Array.make Tlb.size None in
+      let clock = ref 0 in
+      List.for_all
+        (fun (k, vpn, asid, global, probe) ->
+          if probe then begin
+            let best = ref (-1) and time = ref (-1) in
+            Array.iteri
+              (fun i e ->
+                match e with
+                | Some (hi, lo, at)
+                  when Tlb.hi_vpn hi = vpn
+                       && (Tlb.lo_global lo || Tlb.hi_asid hi = asid)
+                       && at > !time ->
+                  best := i;
+                  time := at
+                | _ -> ())
+              model;
+            Tlb.probe t ~vpn ~asid = !best
+          end
+          else begin
+            let hi = Tlb.make_entryhi ~vpn ~asid
+            and lo = Tlb.make_entrylo ~global ~pfn:k () in
+            Tlb.write t k ~hi ~lo;
+            incr clock;
+            model.(k) <- Some (hi, lo, !clock);
+            true
+          end)
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -1478,6 +1647,7 @@ let tests =
   tests
   @ [
       QCheck_alcotest.to_alcotest prop_tcache_matches_walk;
+      QCheck_alcotest.to_alcotest prop_tlb_probe_order;
       QCheck_alcotest.to_alcotest prop_bcache_matches_step;
       QCheck_alcotest.to_alcotest prop_bcache_tlb_remap;
       QCheck_alcotest.to_alcotest prop_bcache_clock_interrupts;

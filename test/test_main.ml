@@ -13,4 +13,6 @@ let () =
       ("validate", Test_validate.tests);
       ("serve", Test_serve.tests);
       ("threads", Test_threads.tests);
+      ("alloc", Test_alloc.tests);
+      ("cli", Test_cli.tests);
     ]

@@ -536,6 +536,44 @@ let test_ctl_stats_shutdown () =
   Server.wait t;
   check_bool "socket path unlinked after wait" false (Sys.file_exists path)
 
+(* A clean Mach stream ends with the UX server still blocked in
+   receive, inside an open block: the parse pipeline must be told the
+   server is live, or every clean stream reports that block as
+   incomplete. *)
+let test_parse_pipeline_clean_mach () =
+  let module B = Systrace_kernel.Builder in
+  let e = Workloads.Suite.find "egrep" in
+  let words, run =
+    capture_trace ~os:Mach [ e.Workloads.Suite.program () ] e.Workloads.Suite.files
+  in
+  let sys = run.system in
+  let parser () =
+    let p =
+      Tracing.Parser.create ~recover:true
+        ~kernel_bbs:(Option.get sys.B.kernel_bbs) ()
+    in
+    List.iter
+      (fun (pi : B.proc_info) ->
+        Tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
+      sys.B.procs;
+    p
+  in
+  let path = tmp_name "parse" in
+  let cfg =
+    {
+      (Server.default_config
+         (Server.to_parser_pipeline ~live:(B.server_pids sys) parser))
+      with
+      Server.unix_path = Some path;
+    }
+  in
+  with_server cfg (fun _ ->
+      match Client.run (Client.Unix_path path) words with
+      | Some r ->
+        check_int "every word parsed" (Array.length words) r.Client.r_words;
+        check_int "clean stream: no diagnoses" 0 r.Client.r_diagnoses
+      | None -> Alcotest.fail "stream rejected")
+
 let tests =
   [
     Alcotest.test_case "bqueue basics" `Quick test_bqueue_basics;
@@ -553,4 +591,6 @@ let tests =
       test_torn_frames_and_disconnects;
     Alcotest.test_case "control socket stats and shutdown" `Quick
       test_ctl_stats_shutdown;
+    Alcotest.test_case "parse pipeline: clean egrep/Mach stream" `Quick
+      test_parse_pipeline_clean_mach;
   ]

@@ -133,7 +133,7 @@ let mk_memsim ?(tlb_entries = 64) () =
       uncached_penalty = 10;
       wb_depth = 4;
       wb_drain = 6;
-      pagemap = (fun _pid va -> Some (va land 0xFFFFF));
+      pagemap = (fun _pid va -> va land 0xFFFFF);
       pt_base = (fun pid -> 0xC0000000 + (pid * 0x200000));
       utlb_handler_insns = 8;
       ktlb_handler_insns = 24;
@@ -341,7 +341,7 @@ let test_memsim_ways_knob () =
         uncached_penalty = 6;
         wb_depth = 4;
         wb_drain = 5;
-        pagemap = (fun _ va -> Some (va land 0xFFFFFF));
+        pagemap = (fun _ va -> va land 0xFFFFFF);
         pt_base = (fun _ -> 0xC0000000);
         utlb_handler_insns = 8;
         ktlb_handler_insns = 24;
@@ -518,7 +518,7 @@ let prop_write_accounting =
 let sweep_pagemap _pid va =
   (* deterministic, partial: some pages unmapped to exercise the
      fallback-translation path *)
-  if va land 0xF000 = 0xF000 then None else Some (va land 0xFFFFF)
+  if va land 0xF000 = 0xF000 then -1 else va land 0xFFFFF
 
 let sweep_pt_base pid = 0xC0000000 + (pid * 0x200000)
 
@@ -629,7 +629,7 @@ let prop_sweep_grid_equals_independent =
       check_sweep_matches_singles cfgs events)
 
 let test_sweep_rejects_mixed_pagemaps () =
-  let other = { sweep_base_cfg with Memsim.pagemap = (fun _ va -> Some va) } in
+  let other = { sweep_base_cfg with Memsim.pagemap = (fun _ va -> va) } in
   Alcotest.check_raises "distinct pagemaps rejected"
     (Invalid_argument
        "Memsim.sweep: all configurations must share pagemap and pt_base \
