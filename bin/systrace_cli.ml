@@ -45,54 +45,18 @@ let tier_conv =
 let tier_arg =
   Arg.(
     value
-    & opt (some tier_conv) None
+    & opt tier_conv Machine.Machine.default_config.Machine.Machine.tier
     & info [ "interp-tier" ] ~docv:"TIER"
         ~doc:
-          "Interpreter execution tier: $(b,step) (step-at-a-time oracle, \
-           full TLB walk per access), $(b,tcache) (+ last-translation \
-           micro-cache), $(b,bcache) (+ decode-once basic-block execution \
-           cache), $(b,super) (+ superblock fusion; the default), or \
-           $(b,trace) (+ trace superblocks over the successor memo with \
-           cross-seam register caching).  Purely a host-side accelerator \
-           choice: simulation results are identical at every tier.")
+          "Interpreter execution tier: $(b,super) (the default: translation \
+           cache, decode-once basic-block cache and superblock fusion) or \
+           $(b,step) (the step-at-a-time oracle, full TLB walk per \
+           access).  Purely a host-side choice: simulation results are \
+           identical at both tiers.")
 
-let no_bcache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-bcache" ]
-        ~doc:
-          "Deprecated alias for $(b,--interp-tier tcache): interpret \
-           without the basic-block execution cache (slower; simulation \
-           results are identical).  Rejected when $(b,--interp-tier) is \
-           also given.")
-
-let trace_len_arg =
-  Arg.(
-    value
-    & opt int Machine.Machine.default_config.Machine.Machine.trace_len
-    & info [ "trace-len" ] ~docv:"BLOCKS"
-        ~doc:
-          "Maximum basic blocks stitched into one trace superblock at \
-           $(b,--interp-tier trace) (4-16).  Ignored at lower tiers.")
-
-(* The tier is purely a host-side accelerator, so the only thing the
-   flags change is the machine config the system is built with.
-   [Uop.tier_of_cli] owns the --interp-tier / --no-bcache resolution
-   (both at once is an error: the alias used to lose silently). *)
-let machine_cfg_of ~tier ~no_bcache ~trace_len =
-  let tier =
-    match Machine.Uop.tier_of_cli ~tier ~no_bcache with
-    | Ok t -> t
-    | Error msg ->
-      Printf.eprintf "systrace: %s\n" msg;
-      exit 2
-  in
-  if trace_len < 4 || trace_len > 16 then begin
-    Printf.eprintf "systrace: --trace-len must be in 4..16 (got %d)\n"
-      trace_len;
-    exit 2
-  end;
-  { Machine.Machine.default_config with Machine.Machine.tier; trace_len }
+(* The tier is purely a host-side accelerator, so the only thing the flag
+   changes is the machine config the system is built with. *)
+let machine_cfg_of tier = { Machine.Machine.default_config with Machine.Machine.tier }
 
 let workload_arg =
   Arg.(
@@ -123,13 +87,13 @@ let list_cmd =
     Term.(const run $ const ())
 
 let run_cmd =
-  let run name os seed tier no_bcache trace_len =
+  let run name os seed tier =
     let e = find_workload name in
     let config =
       {
         Systrace_kernel.Builder.default_config with
         Systrace_kernel.Builder.machine_cfg =
-          machine_cfg_of ~tier ~no_bcache ~trace_len;
+          machine_cfg_of tier;
       }
     in
     let sys =
@@ -158,8 +122,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload untraced; print measured counters.")
-    Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg
-          $ no_bcache_arg $ trace_len_arg)
+    Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg)
 
 let trace_cmd =
   let run name os seed nshow trace_out compress =
@@ -322,7 +285,7 @@ let profile_cmd =
     Term.(const run $ workload_arg $ os_arg $ seed_arg $ topn)
 
 let validate_cmd =
-  let run name os seed tier no_bcache trace_len =
+  let run name os seed tier =
     let e = find_workload name in
     let spec =
       {
@@ -333,7 +296,7 @@ let validate_cmd =
     in
     let row =
       Validate.run_workload
-        ~machine_cfg:(machine_cfg_of ~tier ~no_bcache ~trace_len)
+        ~machine_cfg:(machine_cfg_of tier)
         ~seed os spec
     in
     let m = row.Validate.r_measured and p = row.Validate.r_predicted in
@@ -350,8 +313,7 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Measured vs predicted execution time for one workload.")
-    Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg
-          $ no_bcache_arg $ trace_len_arg)
+    Term.(const run $ workload_arg $ os_arg $ seed_arg $ tier_arg)
 
 let matrix_cmd =
   (* The full measured-vs-predicted matrix behind Tables 2/3 and Figure 3,

@@ -42,20 +42,14 @@ type config = {
   count_exec : bool;  (** per-instruction-word execution counts (§4.3) *)
   tier : Uop.tier;
       (** Interpreter tier (default {!Uop.Super}): [Step] is the
-          step-at-a-time oracle with a full TLB walk per access; [Tcache]
-          adds the last-translation micro-cache; [Bcache] adds the
-          decode-once basic-block execution cache (one fetch translation
-          + bounds check per block, keyed by (physical address, pc,
-          cacheability), invalidated by per-page store generations, so
-          self-modifying code, DMA, TLB remaps and mode switches behave
-          exactly as in step-at-a-time execution); [Super] adds
-          superblock peephole fusion over cached blocks; [Trace] adds
-          trace superblocks stitched over the successor memo with
-          cross-seam register caching.  {!step} remains the
-          state-identical oracle for every tier (qcheck-enforced). *)
-  trace_len : int;
-      (** Maximum blocks per trace superblock at the [Trace] tier
-          (default 8; CLI range 4–16). *)
+          step-at-a-time oracle with a full TLB walk per access; [Super]
+          is the fast path: the translation cache, plus the decode-once
+          basic-block execution cache (one fetch translation + bounds
+          check per block, keyed by (physical address, pc, cacheability),
+          invalidated by per-page store generations, so self-modifying
+          code, DMA, TLB remaps and mode switches behave exactly as in
+          step-at-a-time execution) with superblock peephole fusion.
+          {!step} remains the state-identical oracle (qcheck-enforced). *)
 }
 
 val default_config : config
@@ -136,24 +130,6 @@ type t = {
       (** First uop of the pending (not yet counted) replay span. *)
   mutable bb_um : bool;
       (** Mode the pending replay span executed in. *)
-  mutable bb_trc : bool;
-      (** True while a trace-superblock pass is replaying: icache fetch
-          hits are batched (the up-front residency check makes every
-          fetch a hit), so flush points — including the trap handler —
-          credit them alongside the instruction counters. *)
-  mutable bb_tr : Uop.trace;
-      (** The trace replaying (valid while [bb_trc]). *)
-  mutable bb_tbi : int;
-      (** Index in [bb_tr.tr_blocks] of the block replaying. *)
-  mutable bb_tbudget : int;
-      (** Budget captured at trace-pass entry. *)
-  mutable bb_tnext : int;
-      (** Event horizon captured at trace-pass entry. *)
-  mutable bb_tacc : int;
-      (** Instructions completed in already-finished blocks of the
-          current trace pass, not yet credited to the counters: internal
-          seams accumulate here and the next flush (or the trap handler)
-          folds it in, so a pass touches the counter record once. *)
   icache : Cache.t;
   dcache : Cache.t;
   wb : Write_buffer.t;
@@ -187,7 +163,7 @@ val asid : t -> int
 val translate_i : t -> int -> write:bool -> fetch:bool -> int
 (** [translate_i t va ~write ~fetch] is the physical address, with its
     cacheability left in [t.tr_cached]; raises {!Trap} on failure.  Goes
-    through the translation cache at every tier above [Step] and
+    through the translation cache unless the tier is [Step], and
     allocates nothing. *)
 
 val translate_walk : t -> int -> write:bool -> fetch:bool -> int
@@ -226,10 +202,6 @@ val console_contents : t -> string
 val cached_blocks : t -> Uop.block list
 (** The live entries of the block table (bench introspection: fused-run
     statistics). *)
-
-val cached_traces : t -> Uop.trace list
-(** The live trace superblocks headed by cached blocks (bench
-    introspection: trace-length histogram). *)
 
 val arith_stalls : t -> int
 val wb_stalls : t -> int

@@ -1,47 +1,26 @@
 (** The execution-engine uop IR: decode-to-uop lowering, basic-block
-    formation, superblock peephole fusion, tier selection, and the
+    formation, superblock peephole fusion, the tier type, and the
     per-page store-generation invalidation contract.
 
     This module owns everything about *what* a compiled block contains;
     {!Machine} owns the architectural state and *how* blocks replay.
-    [Machine.step] remains the state-identical oracle for every tier. *)
+    [Machine.step] remains the state-identical oracle for the fast tier. *)
 
 open Systrace_isa
 
 (** {2 Execution tiers}
 
-    The interpreter tiers, each strictly a host-side accelerator over the
-    one below it — simulated state, counters and console are bit-identical
-    across all five (qcheck- and ablation-enforced):
+    Simulated state, counters and console are bit-identical at both
+    tiers (qcheck- and ablation-enforced):
 
     - [Step]: step-at-a-time oracle, full TLB walk on every access.
-    - [Tcache]: + last-translation micro-cache per access class.
-    - [Bcache]: + decode-once basic-block cache with successor memo.
-    - [Super]: + superblock peephole fusion over cached blocks.
-    - [Trace]: + trace superblocks stitched over the successor memo with
-      cross-seam register caching. *)
-type tier = Step | Tcache | Bcache | Super | Trace
+    - [Super]: the fast path — translation cache, decode-once basic-block
+      cache with successor memo, and superblock peephole fusion over
+      cached blocks. *)
+type tier = Step | Super
 
 val all_tiers : tier list
 val tier_name : tier -> string
-val tier_of_string : string -> tier option
-
-val tcache_enabled : tier -> bool
-val bcache_enabled : tier -> bool
-
-val fusion_enabled : tier -> bool
-(** Fused uops are only built at [Super] and above; the block replay
-    engine is shared, so the lower tiers never see a fused constructor. *)
-
-val trace_enabled : tier -> bool
-(** Trace superblocks are only formed and dispatched at [Trace]. *)
-
-val tier_of_cli :
-  tier:tier option -> no_bcache:bool -> (tier, string) result
-(** Resolve the CLI tier selection.  [--interp-tier] wins when given
-    alone; the deprecated [--no-bcache] alias alone maps to [Tcache];
-    giving both is an error (the alias used to lose silently); neither
-    means the default ([Super]). *)
 
 (** {2 The uop IR}
 
@@ -154,77 +133,9 @@ type block = {
          end): re-validated on every use against the fetch micro-cache
          and the successor's own page generation, so it is only ever a
          shortcut past the block-table probe, never a source of truth *)
-  mutable bb_hot : int;
-      (* chain-entry heat at the [Trace] tier; reaching
-         [trace_hot_threshold] triggers one trace-formation attempt *)
-  mutable bb_trace : trace option;
-      (* trace superblock headed by this block, if one formed *)
-}
-
-(** A trace superblock: a hot chain of blocks (found through the
-    successor memo, loops unrolled) replayed as one unit.  The dispatcher
-    performs the budget, event-horizon, watchpoint, store-generation and
-    icache-residency checks *once* up front — [tr_insns]/[tr_wc] bound
-    the whole pass, [tr_pages]/[tr_gens] snapshot every spanned text
-    page, and [tr_lines] are the spanned icache lines, which the builder
-    guarantees map to distinct cache indexes so an all-resident check
-    makes every fetch in the pass a hit.  Inside the pass there are no
-    per-element re-tests; any event that could invalidate the
-    preconditions (device store, generation bump, recorded path
-    diverging) takes a side exit that spills the register cache and
-    returns to the generic loop.  [tr_regs] are the ≤4 hottest registers
-    by def/use count; the executor keeps the top of the list in OCaml
-    locals across internal seams, spilling only at side exits, traps,
-    may-fault memory slow paths and trace end. *)
-and trace = {
-  tr_blocks : block array;  (* ≥ 2 constituent blocks, in path order *)
-  tr_insns : int;           (* total instruction slots *)
-  tr_wc : int;              (* worst-case cycles for one full pass *)
-  tr_pages : int array;     (* distinct spanned text pages (page index) *)
-  tr_gens : int array;      (* generation snapshot, parallel to tr_pages *)
-  tr_pg_lo : int;           (* min spanned page: a store to a page outside
-                               [tr_pg_lo, tr_pg_hi] cannot invalidate the
-                               snapshot, so the in-pass recheck is two
-                               compares on the common (data-page) store *)
-  tr_pg_hi : int;           (* max spanned page *)
-  tr_lines : int array;     (* distinct icache line tags, distinct index *)
-  tr_regs : int array;      (* hottest registers, hottest first, ≤ 4 *)
-  mutable tr_live : bool;   (* false after first invalidation: the head
-                               deopts to plain [Super] dispatch *)
 }
 
 val dummy_block : block
-
-val dummy_trace : trace
-(** Never-live placeholder for dispatcher state (spans no blocks). *)
-
-val trace_hot_threshold : int
-(** Memo-chain entries into a block before trace formation is tried. *)
-
-val trace_max_insns : int
-(** Total-slot cap on one trace, independent of the block-count cap. *)
-
-val trace_eligible : block -> bool
-(** Blocks a trace may contain: cached RAM text, no [U_other] (barriers,
-    FP, hcalls), and no control transfer left open at the end by the
-    page-end clamp. *)
-
-val form_trace :
-  head:block ->
-  max_blocks:int ->
-  wc_load:int ->
-  wc_store:int ->
-  line_shift:int ->
-  nlines:int ->
-  trace option
-(** Walk the successor memo from [head], collecting up to [max_blocks]
-    eligible blocks (at least 2, at most [trace_max_insns] slots), and
-    build the trace superblock: page/generation snapshot, spanned icache
-    lines, worst-case cycles (1 + [wc_load]/[wc_store] per memory
-    instruction), def/use register ranking.  Returns [None] when the
-    chain is too short, a spanned page has an inconsistent generation
-    snapshot, or two spanned icache lines alias the same cache index
-    (which would defeat the up-front residency check). *)
 
 val max_block_insns : int
 (** Straight-line runs longer than this are split; the tail re-enters
@@ -232,14 +143,14 @@ val max_block_insns : int
 
 val build :
   decode:(va:int -> pa:int -> Insn.t) ->
-  va:int -> pa:int -> cached:bool -> gen:int -> fuse:bool -> block
+  va:int -> pa:int -> cached:bool -> gen:int -> block
 (** Form the block starting at [va]/[pa]: decode and lower until a
     control transfer (plus delay slot), barrier, page end or
     [max_block_insns].  A decode failure at the entry word re-raises; a
     later one ends the block before the bad word, so it raises exactly
-    when step-at-a-time would reach it.  [fuse] applies {!fuse} — only
-    honoured on cacheable text, which is what lets fused bodies skip the
-    cacheability test. *)
+    when step-at-a-time would reach it.  Cacheable text is run through
+    {!fuse}; uncacheable text never is, which is what lets fused bodies
+    skip the cacheability test. *)
 
 (** {2 The store-generation invalidation contract}
 

@@ -19,7 +19,6 @@ type t = {
   mutable head : int;          (* index of the oldest entry *)
   mutable count : int;
   mutable stall_cycles : int;
-  mutable stores : int;
 }
 
 let create ?(depth = 4) ?(drain_cycles = 6) () =
@@ -30,14 +29,9 @@ let create ?(depth = 4) ?(drain_cycles = 6) () =
     head = 0;
     count = 0;
     stall_cycles = 0;
-    stores = 0;
   }
 
-let reset t =
-  t.head <- 0;
-  t.count <- 0;
-  t.stall_cycles <- 0;
-  t.stores <- 0
+let stall_cycles t = t.stall_cycles
 
 (* Ring index arithmetic uses compare-and-subtract, not [mod]: integer
    division by the run-time [depth] costs more than everything else the
@@ -57,7 +51,6 @@ let expire t now =
    CPU suffers (0 if a buffer slot is free). *)
 let store t ~now =
   expire t now;
-  t.stores <- t.stores + 1;
   let stall, now =
     if t.count < t.depth then (0, now)
     else begin
@@ -76,14 +69,3 @@ let store t ~now =
   t.count <- t.count + 1;
   t.stall_cycles <- t.stall_cycles + stall;
   stall
-
-(* Cycles until the buffer is fully drained, e.g. for uncached operations
-   that must wait for pending writes. *)
-let drain_time t ~now =
-  expire t now;
-  if t.count = 0 then 0
-  else max 0 (t.ring.(wrap t (t.head + t.count - 1)) - now)
-
-let pending t ~now =
-  expire t now;
-  t.count

@@ -4,21 +4,12 @@
     overlap with FP latency in the machine model — the overlap the
     trace-driven predictor deliberately lacks. *)
 
-type t = {
-  depth : int;
-  drain_cycles : int;
-  ring : int array;            (** absolute retire cycles, ascending *)
-  mutable head : int;          (** index of the oldest entry *)
-  mutable count : int;
-  mutable stall_cycles : int;
-  mutable stores : int;
-}
+type t
 
 val create : ?depth:int -> ?drain_cycles:int -> unit -> t
-val reset : t -> unit
+
+val stall_cycles : t -> int
+(** Total CPU stall cycles suffered by stores since creation. *)
 
 val store : t -> now:int -> int
 (** Issue a store at absolute cycle [now]; returns the stall suffered. *)
-
-val drain_time : t -> now:int -> int
-val pending : t -> now:int -> int

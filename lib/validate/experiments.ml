@@ -878,107 +878,79 @@ let drain_ablation_table ?(wname = "sed") () =
   t
 
 (* ------------------------------------------------------------------ *)
+(* DESIGN.md §5e: interpreter differential over the whole suite        *)
+
+(* Host cost of the two interpreter tiers on full untraced boot +
+   workload runs, every workload under both personalities.  The simulated
+   machine must be bit-for-bit indifferent: cycles, every ground-truth
+   counter, the cache and write-buffer counters and the console
+   transcript are asserted identical between step and super before the
+   timings are reported, which exercises the block cache's invalidation
+   machinery (kernel loads programs, remaps pages and switches modes
+   constantly) at system scale. *)
+let interp_ablation_table () =
+  let module M = Systrace_machine.Machine in
+  let run os e tier =
+    let t0 = Sys.time () in
+    let b =
+      Validate.measured_system
+        ~machine_cfg:{ M.default_config with M.tier }
+        os (spec_of e)
+    in
+    let m = b.Builder.machine in
+    (* counters are mutable: copy them out before the system is dropped *)
+    let fp =
+      ( m.M.cycles,
+        { m.M.c with M.instructions = m.M.c.M.instructions },
+        (M.icache_misses m, M.dcache_misses m, M.wb_stalls m),
+        Builder.console b )
+    in
+    (Sys.time () -. t0, fp)
+  in
+  let t =
+    Table.create
+      ~title:
+        "Interpreter execution tiers: host cost of untraced runs (cycles, \
+         counters and console asserted identical, step vs super)"
+      ~headers:[ "workload"; "os"; "step cpu s"; "super cpu s"; "speedup" ]
+      ~aligns:[ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right ]
+  in
+  let row name os step super =
+    Table.add_row t
+      [
+        name;
+        os;
+        Printf.sprintf "%.2f" step;
+        Printf.sprintf "%.2f" super;
+        Printf.sprintf "%.2fx" (step /. super);
+      ]
+  in
+  let total_step = ref 0.0 and total_super = ref 0.0 in
+  List.iter
+    (fun (e : Suite.entry) ->
+      List.iter
+        (fun os ->
+          let step, fp_step = run os e Systrace_machine.Uop.Step in
+          let super, fp_super = run os e Systrace_machine.Uop.Super in
+          if fp_super <> fp_step then
+            failwith
+              (Printf.sprintf
+                 "interp ablation: super diverges from step-at-a-time on \
+                  %s/%s"
+                 e.Suite.name (Validate.os_name os));
+          total_step := !total_step +. step;
+          total_super := !total_super +. super;
+          row e.Suite.name (Validate.os_name os) step super)
+        [ Validate.Ultrix; Validate.Mach ])
+    Suite.all;
+  row "all" "both" !total_step !total_super;
+  t
+
+(* ------------------------------------------------------------------ *)
 (* OS structure and memory behaviour: the study these traces enabled
    (Chen & Bershad, SOSP'93, reference [7]).  From the predicted runs'
    per-mode attribution: how much of each workload's memory-system time
    is system (kernel + server) rather than user, under each structure. *)
-
-(* ------------------------------------------------------------------ *)
-(* DESIGN.md Â§5e: interpreter execution-mode ablation                   *)
-
-(* Host cost of the four interpreter tiers on a full untraced
-   boot + workload run.  The simulated machine must be bit-for-bit
-   indifferent: every ground-truth counter and the console transcript are
-   asserted identical across tiers before the timings are reported, which
-   exercises the block cache's invalidation machinery (kernel loads
-   programs, remaps pages and switches modes constantly) at system
-   scale. *)
-let interp_ablation_table ?(wname = "egrep") () =
-  let e = Suite.find wname in
-  let run tier =
-    let cfg =
-      {
-        Builder.default_config with
-        Builder.machine_cfg =
-          {
-            Systrace_machine.Machine.default_config with
-            Systrace_machine.Machine.tier;
-          };
-      }
-    in
-    let t0 = Sys.time () in
-    let b =
-      Builder.build ~cfg ~programs:[ e.Suite.program () ] ~files:e.Suite.files
-        ()
-    in
-    (match Builder.run b ~max_insns:2_000_000_000 with
-    | Systrace_machine.Machine.Halt -> ()
-    | Systrace_machine.Machine.Limit -> failwith "interp ablation: no halt");
-    (Sys.time () -. t0, b)
-  in
-  let fingerprint (b : Builder.t) =
-    let m = b.Builder.machine in
-    let c = m.Systrace_machine.Machine.c in
-    ( m.Systrace_machine.Machine.cycles,
-      ( c.Systrace_machine.Machine.instructions,
-        c.Systrace_machine.Machine.user_instructions,
-        c.Systrace_machine.Machine.kernel_instructions,
-        c.Systrace_machine.Machine.idle_instructions ),
-      ( c.Systrace_machine.Machine.utlb_misses,
-        c.Systrace_machine.Machine.ktlb_misses,
-        c.Systrace_machine.Machine.exceptions,
-        c.Systrace_machine.Machine.interrupts,
-        c.Systrace_machine.Machine.syscalls ),
-      Builder.console b )
-  in
-  let modes =
-    [
-      ("step (no caches)", Systrace_machine.Uop.Step);
-      ("tcache", Systrace_machine.Uop.Tcache);
-      ("tcache + bcache", Systrace_machine.Uop.Bcache);
-      ("superblock (fused)", Systrace_machine.Uop.Super);
-      ("trace superblocks", Systrace_machine.Uop.Trace);
-    ]
-  in
-  let results =
-    List.map
-      (fun (label, tier) ->
-        let secs, b = run tier in
-        (label, secs, fingerprint b))
-      modes
-  in
-  (match results with
-  | (_, _, fp0) :: rest ->
-    List.iter
-      (fun (label, _, fp) ->
-        if fp <> fp0 then
-          failwith
-            (Printf.sprintf
-               "interp ablation: %s diverges from step-at-a-time on %s" label
-               wname))
-      rest
-  | [] -> ());
-  let base = match results with (_, s, _) :: _ -> s | [] -> 1.0 in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Interpreter execution tiers: host cost of an untraced %s run \
-(identical simulated counters and console asserted across all five)"
-           wname)
-      ~headers:[ "mode"; "host cpu s"; "speedup" ]
-      ~aligns:[ Table.Left; Table.Right; Table.Right ]
-  in
-  List.iter
-    (fun (label, secs, _) ->
-      Table.add_row t
-        [
-          label;
-          Printf.sprintf "%.2f" secs;
-          Printf.sprintf "%.2fx" (base /. secs);
-        ])
-    results;
-  t
 
 let os_structure_table (matrix : full_row list) =
   let t =

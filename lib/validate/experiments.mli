@@ -92,12 +92,12 @@ val faults_table :
     recovery modes reconstruct the identical reference stream from the
     pristine trace. *)
 
-val interp_ablation_table : ?wname:string -> unit -> Table.t
-(** DESIGN.md §5e: step-at-a-time vs translation micro-cache vs
-    basic-block replay on an untraced boot + workload run — host cost per
-    mode, with the ground-truth counters and console transcript asserted
-    identical first (the block cache must be invisible to the simulated
-    machine). *)
+val interp_ablation_table : unit -> Table.t
+(** DESIGN.md §5e: the step-at-a-time oracle vs the [Super] fast path on
+    an untraced boot + run of every suite workload under both
+    personalities — host cost per tier, with cycles, the ground-truth
+    counters and the console transcript asserted identical first (the
+    fast path must be invisible to the simulated machine). *)
 
 val os_structure_table : full_row list -> Table.t
 (** System vs user share of memory activity under each OS structure. *)

@@ -95,7 +95,7 @@ let run_to_halt t =
 
 (* ------------------------------------------------------------------ *)
 
-let measure ?pagemap ?machine_cfg ?(seed = 1) os spec : measurement =
+let measured_system ?pagemap ?machine_cfg ?(seed = 1) os spec =
   let cfg = base_cfg os pagemap seed in
   let cfg =
     match machine_cfg with
@@ -104,6 +104,11 @@ let measure ?pagemap ?machine_cfg ?(seed = 1) os spec : measurement =
   in
   let t = Builder.build ~cfg ~programs:(all_programs os spec) ~files:spec.files () in
   run_to_halt t;
+  t
+
+let measure ?pagemap ?machine_cfg ?seed os spec : measurement =
+  let t = measured_system ?pagemap ?machine_cfg ?seed os spec in
+  let cfg = t.Builder.cfg in
   let c = t.Builder.machine.Systrace_machine.Machine.c in
   (* pixie-style arithmetic stall estimate: a functional run with an ideal
      memory system, so FP interlocks are the only stalls. *)

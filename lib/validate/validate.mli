@@ -50,6 +50,16 @@ type prediction = {
           in-kernel buffer size rather than the trace length *)
 }
 
+val measured_system :
+  ?pagemap:Kcfg.pagemap ->
+  ?machine_cfg:Systrace_machine.Machine.config ->
+  ?seed:int ->
+  os ->
+  spec ->
+  Builder.t
+(** The MEASURED system: boot [spec] untraced under [os] (the UX server
+    added under Mach) and run it to halt. *)
+
 val measure : ?pagemap:Kcfg.pagemap -> ?machine_cfg:Systrace_machine.Machine.config -> ?seed:int -> os -> spec -> measurement
 
 val measure_with :
@@ -97,7 +107,7 @@ val run_workload :
   row
 (** Measured and predicted passes; fails if traced and untraced runs
     disagree on program output.  [machine_cfg] overrides the measured
-    pass's machine configuration (e.g. [tier = Uop.Tcache]); the
+    pass's machine configuration (e.g. [tier = Uop.Step]); the
     predicted pass is a trace-driven model and takes no machine. *)
 
 val run_workload_sweep :

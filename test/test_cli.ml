@@ -23,6 +23,50 @@ let run args =
   in
   (out, code)
 
+(* Run the CLI for its exit status alone; stdout and stderr are
+   discarded. *)
+let status args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin null null
+  in
+  Unix.close null;
+  match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED c -> c
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+
+(* The interpreter has two tiers, step and super.  The removed tier names
+   and the options that only steered them are usage errors (cmdliner's
+   exit 124) on every command that takes [--interp-tier], not silently
+   ignored flags. *)
+let test_removed_tier_options () =
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun opts ->
+          Alcotest.(check int)
+            (String.concat " " (cmd :: opts) ^ " is a usage error")
+            124 (status (cmd :: "egrep" :: opts)))
+        [
+          [ "--interp-tier"; "trace" ];
+          [ "--interp-tier"; "bcache" ];
+          [ "--interp-tier"; "tcache" ];
+          [ "--no-bcache" ];
+          [ "--trace-len"; "8" ];
+        ])
+    [ "run"; "validate" ]
+
+(* The step-at-a-time oracle and the default fast path print the same
+   counters and console. *)
+let test_step_tier_matches_default () =
+  let step, code = run [ "run"; "egrep"; "--interp-tier"; "step" ] in
+  Alcotest.(check int) "step exit" 0 code;
+  let default, code = run [ "run"; "egrep" ] in
+  Alcotest.(check int) "default exit" 0 code;
+  Alcotest.(check bool) "counters printed" true
+    (List.exists (String.starts_with ~prefix:"instructions: ") default);
+  Alcotest.(check (list string)) "step == default" default step
+
 (* A clean Mach trace ends with the UX server still blocked in receive:
    [check -w] must pass it to the parser as live, or it reports the
    server's open block as incomplete and fails a clean dump. *)
@@ -45,4 +89,8 @@ let tests =
   [
     Alcotest.test_case "check -w: clean gcc/Mach dump" `Quick
       test_check_clean_mach_dump;
+    Alcotest.test_case "removed tier options are usage errors" `Quick
+      test_removed_tier_options;
+    Alcotest.test_case "run: step tier prints the default's counters" `Quick
+      test_step_tier_matches_default;
   ]

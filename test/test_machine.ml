@@ -1072,8 +1072,8 @@ let bb_install_vectors m =
   write Addr.general_vector (stub Addr.general_vector);
   write Addr.utlb_vector (stub Addr.utlb_vector)
 
-(* Run the same program under the step-at-a-time oracle and each block
-   tier (plain and superblock-fused) with identical budgets; [prepare]
+(* Run the same program under the step-at-a-time oracle and the block
+   tier (superblock-fused) with identical budgets; [prepare]
    pokes extra host-side state (mapped routines, clock) into every
    machine identically. *)
 let bb_run_both ?(prepare = fun (_ : Machine.t) -> ()) ?(max_insns = 400_000)
@@ -1101,7 +1101,7 @@ let bb_run_both ?(prepare = fun (_ : Machine.t) -> ()) ?(max_insns = 400_000)
         QCheck.Test.fail_report
           (Uop.tier_name tier
           ^ " tier diverges from step mode in registers/counters"))
-    [ Uop.Bcache; Uop.Super; Uop.Trace ];
+    [ Uop.Super ];
   true
 
 (* Generated program fragments.  [Patch] stores a freshly encoded
@@ -1477,33 +1477,12 @@ let prop_fusion_structure =
       true)
 
 
-(* --- CLI tier resolution (satellite of the trace-tier PR) ---------- *)
-
-let test_tier_of_cli () =
-  (match Uop.tier_of_cli ~tier:None ~no_bcache:false with
-  | Ok Uop.Super -> ()
-  | _ -> Alcotest.fail "neither flag should default to Super");
-  (match Uop.tier_of_cli ~tier:None ~no_bcache:true with
-  | Ok Uop.Tcache -> ()
-  | _ -> Alcotest.fail "--no-bcache alone should alias to Tcache");
-  (match Uop.tier_of_cli ~tier:(Some Uop.Trace) ~no_bcache:false with
-  | Ok Uop.Trace -> ()
-  | _ -> Alcotest.fail "an explicit --interp-tier should be honoured");
-  (match Uop.tier_of_cli ~tier:(Some Uop.Step) ~no_bcache:true with
-  | Error _ -> ()
-  | Ok _ ->
-    Alcotest.fail
-      "--interp-tier plus --no-bcache must be rejected (the alias used to \
-       lose silently)")
-
 (* A TLB miss on the load of the *last* fused load-modify-store triple
    of a block: the block has already retired whole [U_lmw] dispatches
-   when element 1 of its final triple faults, and at the Trace tier the
-   fault follows a trace side exit (the loop backedge diverges on the
-   last iteration), so trap recovery rebuilds pc/epc and the register
-   file from mid-block state with the register cache spilled.
-   Registers, EPC, BadVAddr, memory and every counter must match
-   step-at-a-time exactly. *)
+   when element 1 of its final triple faults, so trap recovery rebuilds
+   pc/epc and the register file from mid-block state.  Registers, EPC,
+   BadVAddr, memory and every counter must match step-at-a-time
+   exactly. *)
 let test_lmw_last_load_tlb_miss () =
   let build a =
     let open Asm in
@@ -1556,7 +1535,7 @@ let test_lmw_last_load_tlb_miss () =
         (Uop.tier_name tier ^ ": registers/epc/counters match step")
         true
         (bb_fingerprint mt = fs))
-    [ Uop.Super; Uop.Trace ];
+    [ Uop.Super ];
   (* the run really took the fault path it claims to test *)
   check_int "two utlb refills (lw then sw)" 2 ms.Machine.c.Machine.utlb_misses;
   check_int "badvaddr names the unmapped page" 0x4000 ms.Machine.badvaddr;
@@ -1564,84 +1543,6 @@ let test_lmw_last_load_tlb_miss () =
   check_int "buf.0 counted every loop pass" 30 (Machine.read_phys_u32 ms buf_pa);
   check_int "buf.8 counted once on fall-out" 1
     (Machine.read_phys_u32 ms (buf_pa + 8))
-
-(* Structural invariants of trace superblocks (DESIGN.md section 5i),
-   checked on whatever traces form while random self-modifying /
-   faulting programs run at the Trace tier (salted with long loops so
-   chains actually get hot).  The page/generation snapshot must agree
-   with every constituent block — a trace never spans a
-   store-generation bump at formation, and in-pass bumps side-exit,
-   which the equality properties above check behaviourally.  The
-   register-cache candidates are distinct non-zero architectural
-   registers.  And a dead trace is never left installed on its head:
-   invalidation clears [bb_trace], so the head deopts to plain [Super]
-   block dispatch, never to [step]. *)
-let prop_trace_structure =
-  QCheck.Test.make ~count:60
-    ~name:
-      "trace superblocks: snapshot consistent, register cache sane, dead \
-       traces deopt to super"
-    bb_arb_ops
-    (fun ops ->
-      let ops = Loop (20, 5) :: (ops @ [ Loop (20, 7) ]) in
-      let cfg = { Machine.default_config with Machine.tier = Uop.Trace } in
-      let m, _ = setup ~cfg (bb_build_program ops) in
-      bb_install_vectors m;
-      (match Machine.run m ~max_insns:400_000 with
-      | Machine.Halt -> ()
-      | Machine.Limit ->
-        QCheck.Test.fail_report "generated program hit the instruction limit");
-      List.iter
-        (fun (b : Uop.block) ->
-          match b.Uop.bb_trace with
-          | Some tr when not tr.Uop.tr_live ->
-            QCheck.Test.fail_report
-              "invalidated trace still installed on its head block"
-          | _ -> ())
-        (Machine.cached_blocks m);
-      List.iter
-        (fun (tr : Uop.trace) ->
-          let nb = Array.length tr.Uop.tr_blocks in
-          if nb < 2 || nb > cfg.Machine.trace_len then
-            QCheck.Test.fail_report "trace block count out of range";
-          if tr.Uop.tr_insns > Uop.trace_max_insns then
-            QCheck.Test.fail_report "trace exceeds the total-slot cap";
-          if Array.length tr.Uop.tr_pages <> Array.length tr.Uop.tr_gens then
-            QCheck.Test.fail_report "page/generation snapshot lengths differ";
-          Array.iter
-            (fun (b : Uop.block) ->
-              if not (Uop.trace_eligible b) then
-                QCheck.Test.fail_report "ineligible block inside a trace";
-              let pg = b.Uop.bb_pa lsr Addr.page_shift in
-              let found = ref false in
-              Array.iteri
-                (fun i p ->
-                  if p = pg then begin
-                    found := true;
-                    if tr.Uop.tr_gens.(i) <> b.Uop.bb_gen then
-                      QCheck.Test.fail_report
-                        "snapshot generation disagrees with a constituent \
-                         block (trace spans a store-generation bump)"
-                  end)
-                tr.Uop.tr_pages;
-              if not !found then
-                QCheck.Test.fail_report
-                  "constituent block's page missing from the snapshot")
-            tr.Uop.tr_blocks;
-          (let lo = Array.fold_left min max_int tr.Uop.tr_pages
-           and hi = Array.fold_left max (-1) tr.Uop.tr_pages in
-           if tr.Uop.tr_pg_lo <> lo || tr.Uop.tr_pg_hi <> hi then
-             QCheck.Test.fail_report
-               "spanned-page range disagrees with the snapshot");
-          let regs = Array.to_list tr.Uop.tr_regs in
-          if List.length regs > 4 then
-            QCheck.Test.fail_report "more than 4 register-cache candidates";
-          if List.exists (fun r -> r <= 0 || r > 31) regs then
-            QCheck.Test.fail_report "cached register out of range (or $0)";
-          if List.length (List.sort_uniq compare regs) <> List.length regs
-          then QCheck.Test.fail_report "duplicate register-cache candidate")
-        (Machine.cached_traces m);
-      true)
 
 let tests =
   tests
@@ -1652,8 +1553,6 @@ let tests =
       QCheck_alcotest.to_alcotest prop_bcache_tlb_remap;
       QCheck_alcotest.to_alcotest prop_bcache_clock_interrupts;
       QCheck_alcotest.to_alcotest prop_fusion_structure;
-      QCheck_alcotest.to_alcotest prop_trace_structure;
-      Alcotest.test_case "cli tier resolution" `Quick test_tier_of_cli;
       Alcotest.test_case "lmw last-load tlb miss vs step" `Quick
         test_lmw_last_load_tlb_miss;
       Alcotest.test_case "alignment traps" `Quick test_alignment_traps;
