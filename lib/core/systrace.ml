@@ -68,7 +68,6 @@ end
 module Tracesim = struct
   module Memsim = Systrace_tracesim.Memsim
   module Predict = Systrace_tracesim.Predict
-  module Sim_cache = Systrace_tracesim.Sim_cache
   module Sim_cache_assoc = Systrace_tracesim.Sim_cache_assoc
   module Sim_tlb = Systrace_tracesim.Sim_tlb
   module Sim_wb = Systrace_tracesim.Sim_wb

@@ -62,8 +62,8 @@ type stats = {
 
 type t = {
   cfg : config;
-  (* the associative model; 1-way is qcheck-proven identical to the
-     direct-mapped Sim_cache, so the default replays are unchanged *)
+  (* the associative model; 1-way is qcheck-proven identical to a
+     direct-mapped cache, the DECstation's organization *)
   icache : Sim_cache_assoc.t;
   dcache : Sim_cache_assoc.t;
   tlb : Sim_tlb.t;
@@ -278,13 +278,14 @@ let sink ?live t parser : Sink.t =
      so configurations sharing (tlb_entries, handler lengths) share one
      TLB and one synthesized stream ("groups" below).
    - Cache contents depend on the trace and the group's synthesized
-     stream; within a group, distinct geometries are simulated once each,
-     shared by every configuration that names them — and icache families
-     that nest (same line size and set count, ascending ways) collapse
-     into a single Mattson LRU stack ({!Sim_stack}), one state update for
-     the whole family.  The dcache's write-through/no-allocate write path
-     breaks the stack's inclusion property (DESIGN.md 5f), so dcache
-     geometries stay one unit each.
+     stream.  Within a group, every geometry sharing a line size and a
+     set count — icache and dcache alike — is one member of a family
+     simulated by a single level-tagged LRU stack ({!Sim_stack}): one
+     state update per reference for the whole family, shared by every
+     configuration that names one of its members.  Write-through/
+     no-write-allocate keeps the members nested, and each stack entry's
+     level says which members hold it (DESIGN.md 5f).  A lone geometry
+     is a one-member family.
    - The write buffer depends on everything above plus the penalties, but
      its clock is a pure sum of counted events: rather than ticking every
      lane's buffer on every reference, each lane derives its clock from
@@ -314,11 +315,11 @@ let bump m ctx =
   else if ctx = 1 then m.c_kernel <- m.c_kernel + 1
   else m.c_user <- m.c_user + 1
 
-type ic_unit =
-  | Ic_plain of Sim_cache_assoc.t * miss_ctr
-  | Ic_stack of Sim_stack.t * miss_ctr array  (* counters in ways order *)
-
-type dc_unit = { du_cache : Sim_cache_assoc.t; du_ctr : miss_ctr }
+(* A cache family: one level-tagged LRU stack ({!Sim_stack}) for every
+   geometry of a group that shares a line size and a set count, with its
+   members' miss counters in ways order.  A lone geometry is a one-member
+   family. *)
+type cunit = { stack : Sim_stack.t; ctrs : miss_ctr array }
 
 (* configurations whose TLB parameters agree see the same reference
    stream (trace + synthesized handlers) and share everything below *)
@@ -326,8 +327,8 @@ type group = {
   gr_tlb : Sim_tlb.t;
   gr_utlb_insns : int;
   gr_ktlb_insns : int;
-  gr_ic : ic_unit array;
-  gr_dc : dc_unit array;
+  gr_ic : cunit array;
+  gr_dc : cunit array;
   mutable gr_utlb : int;
   mutable gr_ktlb : int;
   mutable gr_synth : int;
@@ -398,73 +399,51 @@ let sweep cfg_list : sweep =
     |> List.rev
   in
   let keys = distinct (Array.to_list (Array.map gkey cfgs)) in
-  (* per group: the shared state plus lookup tables from a lane's cache
-     geometry to its member counter / unit *)
+  (* a group's distinct cache geometries as families, plus the lookup
+     from a lane's geometry to its member counter *)
+  let units geoms =
+    let geoms = distinct geoms in
+    let fams =
+      List.map
+        (fun (line, nsets) ->
+          let ways =
+            List.sort compare
+              (List.filter_map
+                 (fun (l, n, w) -> if l = line && n = nsets then Some w else None)
+                 geoms)
+          in
+          let stack =
+            Sim_stack.create ~line_bytes:line ~nsets ~ways:(Array.of_list ways)
+          in
+          let ctrs = Array.of_list (List.map (fun _ -> ctr ()) ways) in
+          ( { stack; ctrs },
+            List.mapi (fun i w -> ((line, nsets, w), ctrs.(i))) ways ))
+        (distinct (List.map (fun (line, nsets, _) -> (line, nsets)) geoms))
+    in
+    (Array.of_list (List.map fst fams), List.concat_map snd fams)
+  in
   let built =
     List.map
       (fun ((tlb_entries, uh, kh) as key) ->
         let members =
           List.filter (fun c -> gkey c = key) (Array.to_list cfgs)
         in
-        let dc_units =
-          List.map
-            (fun ((line, nsets, ways) as g) ->
-              ( g,
-                {
-                  du_cache =
-                    Sim_cache_assoc.create ~size_bytes:(line * nsets * ways)
-                      ~line_bytes:line ~ways ();
-                  du_ctr = ctr ();
-                } ))
-            (distinct (List.map dc_geom members))
-        in
-        (* icache units: nesting families (same line, same nsets, several
-           associativities) collapse into one LRU stack *)
-        let ic_geoms = distinct (List.map ic_geom members) in
-        let fam_keys =
-          distinct (List.map (fun (line, nsets, _) -> (line, nsets)) ic_geoms)
-        in
-        let ic_units =
-          List.map
-            (fun (line, nsets) ->
-              let ways =
-                List.sort compare
-                  (List.filter_map
-                     (fun (l, n, w) ->
-                       if l = line && n = nsets then Some w else None)
-                     ic_geoms)
-              in
-              match ways with
-              | [ w ] ->
-                let m = ctr () in
-                ( Ic_plain
-                    ( Sim_cache_assoc.create ~size_bytes:(line * nsets * w)
-                        ~line_bytes:line ~ways:w (),
-                      m ),
-                  [ ((line, nsets, w), m) ] )
-              | ways ->
-                let ms = Array.of_list (List.map (fun _ -> ctr ()) ways) in
-                ( Ic_stack
-                    ( Sim_stack.create ~line_bytes:line ~nsets
-                        ~ways:(Array.of_list ways),
-                      ms ),
-                  List.mapi (fun i w -> ((line, nsets, w), ms.(i))) ways ))
-            fam_keys
-        in
+        let ic_units, ic_lookup = units (List.map ic_geom members) in
+        let dc_units, dc_lookup = units (List.map dc_geom members) in
         let g =
           {
             gr_tlb = Sim_tlb.create ~size:tlb_entries ();
             gr_utlb_insns = uh;
             gr_ktlb_insns = kh;
-            gr_ic = Array.of_list (List.map fst ic_units);
-            gr_dc = Array.of_list (List.map snd dc_units);
+            gr_ic = ic_units;
+            gr_dc = dc_units;
             gr_utlb = 0;
             gr_ktlb = 0;
             gr_synth = 0;
             gr_unmapped = 0;
           }
         in
-        (key, (g, List.concat_map snd ic_units, dc_units)))
+        (key, (g, ic_lookup, dc_lookup)))
       keys
   in
   let lanes =
@@ -475,7 +454,7 @@ let sweep cfg_list : sweep =
           la_cfg = c;
           la_group = g;
           la_ic = List.assoc (ic_geom c) ic_lookup;
-          la_dc = (List.assoc (dc_geom c) dc_lookup).du_ctr;
+          la_dc = List.assoc (dc_geom c) dc_lookup;
           la_ring =
             Sim_wb.ring_create ~depth:c.wb_depth ~drain_cycles:c.wb_drain;
           la_stall_k = 0;
@@ -500,33 +479,23 @@ let sweep cfg_list : sweep =
     sv_dloads_cached = 0;
   }
 
-(* one icache read by every unit of a group.  These inner loops run once
-   per group per trace reference: plain [for] loops, not [Array.iter],
-   because an iter closure would capture [pa]/[ctx] and heap-allocate on
-   every reference. *)
-let g_ic_read g pa ctx =
-  let units = g.gr_ic in
-  for i = 0 to Array.length units - 1 do
-    match Array.unsafe_get units i with
-    | Ic_plain (c, m) -> if not (Sim_cache_assoc.read c pa) then bump m ctx
-    | Ic_stack (st, ms) ->
-      let mask = Sim_stack.read st pa in
-      if mask <> 0 then begin
-        let rec go i mask =
-          if mask <> 0 then begin
-            if mask land 1 = 1 then bump ms.(i) ctx;
-            go (i + 1) (mask lsr 1)
-          end
-        in
-        go 0 mask
-      end
-  done
+(* bump the counters of the members set in a miss mask *)
+let rec bump_mask ctrs i mask ctx =
+  if mask <> 0 then begin
+    if mask land 1 = 1 then bump (Array.unsafe_get ctrs i) ctx;
+    bump_mask ctrs (i + 1) (mask lsr 1) ctx
+  end
 
-let g_dc_read g pa ctx =
-  let units = g.gr_dc in
+(* one read by every cache family of a group ([gr_ic] or [gr_dc]).  These
+   inner loops run once per group per trace reference: plain [for] loops
+   and toplevel recursion, not [Array.iter] or a local function, because
+   a closure would capture [pa]/[ctx] and heap-allocate on every
+   reference. *)
+let units_read units pa ctx =
   for i = 0 to Array.length units - 1 do
     let u = Array.unsafe_get units i in
-    if not (Sim_cache_assoc.read u.du_cache pa) then bump u.du_ctr ctx
+    let mask = Sim_stack.read u.stack pa in
+    if mask <> 0 then bump_mask u.ctrs 0 mask ctx
   done
 
 (* a page-map result ([-1]: unmapped, counted per group and treated as
@@ -547,22 +516,22 @@ let g_synth_ktlb g =
   g.gr_ktlb <- g.gr_ktlb + 1;
   for k = 0 to g.gr_ktlb_insns - 1 do
     g.gr_synth <- g.gr_synth + 1;
-    g_ic_read g (0x80 + (k * 4)) ctx_synth
+    units_read g.gr_ic (0x80 + (k * 4)) ctx_synth
   done;
-  g_dc_read g 0x9000 ctx_synth
+  units_read g.gr_dc 0x9000 ctx_synth
 
 let g_kseg2_load sw g pid va =
   let vpn = va lsr 12 in
   if not (Sim_tlb.access g.gr_tlb ~vpn ~asid:0 ~global:true ~user:false) then
     g_synth_ktlb g;
   let pa = g_translate sw g pid va in
-  g_dc_read g pa ctx_synth
+  units_read g.gr_dc pa ctx_synth
 
 let g_synth_utlb sw g pid vpn =
   g.gr_utlb <- g.gr_utlb + 1;
   for k = 0 to g.gr_utlb_insns - 1 do
     g.gr_synth <- g.gr_synth + 1;
-    g_ic_read g (k * 4) ctx_synth
+    units_read g.gr_ic (k * 4) ctx_synth
   done;
   g_kseg2_load sw g pid (sw.sw_pt_base pid + (vpn * 4))
 
@@ -593,13 +562,13 @@ let sweep_on_inst sw addr pid kernel =
       let g = Array.unsafe_get groups i in
       if not (Sim_tlb.access g.gr_tlb ~vpn ~asid ~global:false ~user:true)
       then g_synth_utlb sw g pid vpn;
-      g_ic_read g (g_phys g addr mapped) ctx
+      units_read g.gr_ic (g_phys g addr mapped) ctx
     done
   end
   else if addr < kseg1_base then begin
     let pa = addr - 0x80000000 in
     for i = 0 to Array.length groups - 1 do
-      g_ic_read (Array.unsafe_get groups i) pa ctx
+      units_read (Array.unsafe_get groups i).gr_ic pa ctx
     done
   end
   else if addr < kseg2_base then begin
@@ -614,7 +583,7 @@ let sweep_on_inst sw addr pid kernel =
       let g = Array.unsafe_get groups i in
       if not (Sim_tlb.access g.gr_tlb ~vpn ~asid:0 ~global:true ~user:false)
       then g_synth_ktlb g;
-      g_ic_read g (g_phys g addr mapped) ctx
+      units_read g.gr_ic (g_phys g addr mapped) ctx
     done
   end
 
@@ -654,12 +623,13 @@ let sweep_on_data sw addr pid kernel is_load _bytes =
       let pa =
         if kuseg || kseg2 then g_phys g addr mapped else addr - 0x80000000
       in
-      if is_load then g_dc_read g pa ctx
+      if is_load then units_read g.gr_dc pa ctx
       else begin
+        (* write-through/no-allocate: a write moves no miss counter *)
         let units = g.gr_dc in
         for j = 0 to Array.length units - 1 do
           let u = Array.unsafe_get units j in
-          let (_hit : bool) = Sim_cache_assoc.write u.du_cache pa in
+          let (_mask : int) = Sim_stack.write u.stack pa in
           ()
         done
       end
@@ -728,10 +698,9 @@ let sweep_sink ?live sw parser : Sink.t =
 (* A (size x line x TLB entries x WB depth) geometry grid over [base].
    With [nested] (the default) associativity scales with size at a fixed
    set count — ways = size / min size — so each (line, TLB) family of
-   sizes nests and the sweep's icache stack fast path covers the whole
-   size axis in one unit.  With [~nested:false] every size is
-   direct-mapped (set counts differ, nothing nests: one cache unit per
-   geometry). *)
+   sizes nests and one sweep stack per cache covers the whole size axis.
+   With [~nested:false] every size is direct-mapped (set counts differ,
+   nothing nests: one one-member stack per geometry). *)
 let grid ?(nested = true) ~base ~sizes ~lines ~tlb_entries ~wb_depths () :
     (string * config) list =
   if sizes = [] || lines = [] || tlb_entries = [] || wb_depths = [] then

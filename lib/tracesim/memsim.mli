@@ -70,13 +70,13 @@ val sink : ?live:int list -> t -> Systrace_tracing.Parser.t -> Systrace_tracing.
     [sweep cfgs] evaluates every configuration in one trace pass: word
     decode, reference classification and page-map translation happen once
     per reference; configurations sharing TLB parameters share one TLB
-    and one synthesized-handler stream; distinct cache geometries within
-    such a group are simulated once each, with nesting icache families
-    (same line size and set count, ascending ways) collapsed into a
-    single Mattson LRU stack ({!Sim_stack}).  [sweep_stats] returns, per
-    configuration and in list order, {b byte-identical} stats to an
-    independent {!create}/{!sink} run over the same trace (qcheck
-    properties in the test suite enforce this). *)
+    and one synthesized-handler stream; within such a group, the icache
+    and dcache geometries that share a line size and a set count form a
+    family simulated by one level-tagged LRU stack ({!Sim_stack}), one
+    state update per reference for all its associativities.
+    [sweep_stats] returns, per configuration and in list order,
+    {b byte-identical} stats to an independent {!create}/{!sink} run over
+    the same trace (qcheck properties in the test suite enforce this). *)
 
 type sweep
 

@@ -1,15 +1,15 @@
 (* Set-associative cache model for trace-replay studies.
 
    The DECstation 5000/200 the paper traces has direct-mapped caches, and
-   the validation models ({!Sim_cache}) match it.  But the point of
-   collecting complete system traces was to drive studies of memory
-   systems *other* than the host's — the companion work ([7], Chen &
+   the validation model (a 1-way instance of this one) matches it.  But
+   the point of collecting complete system traces was to drive studies of
+   memory systems *other* than the host's — the companion work ([7], Chen &
    Bershad SOSP'93) replays these traces over associative organizations to
    separate conflict from capacity misses.  This model supports those
    studies: N-way set-associative, true-LRU replacement, the same
    write-through/no-write-allocate policy as the host so that a 1-way
-   instance is reference-equal to {!Sim_cache} (a qcheck property in the
-   test suite holds them together).
+   instance is reference-equal to a direct-mapped cache (a qcheck property
+   in the test suite holds it to a direct-mapped model).
 
    LRU is tracked with a per-access monotonic stamp: sets are small (the
    interesting design space is 1-8 ways) so a linear scan of the set is
@@ -128,7 +128,7 @@ let read t pa =
     false
 
 (* Write_through: no write-allocate, state changes only on hit — matching
-   the host machine and {!Sim_cache} so 1-way instances are equivalent.
+   the host machine's direct-mapped caches for 1-way instances.
    Write_back: write-allocate; the line is dirtied and a dirty victim on
    any later fill counts as a writeback. *)
 let write t pa =

@@ -2,8 +2,8 @@
     the associativity and write-policy sweeps the system traces were
     collected to enable (companion study [7]).  The default
     [Write_through] policy matches the host machine, so a 1-way instance
-    behaves identically to {!Sim_cache} (held together by a qcheck
-    property); [Write_back] adds write-allocate and dirty-eviction
+    behaves identically to a direct-mapped cache (held to a direct-mapped
+    model by a qcheck property); [Write_back] adds write-allocate and dirty-eviction
     accounting. *)
 
 type policy =

@@ -7,55 +7,15 @@
    liv: "the prediction error is caused by the overlapping of write buffer
    and floating point activity that is not modeled in the simulator". *)
 
-type t = {
-  depth : int;
-  drain_cycles : int;
-  mutable clock : int;            (* local reference clock *)
-  mutable retire : int list;      (* ascending retirement times *)
-  mutable stall_cycles : int;
-  mutable stores : int;
-}
-
-let create ?(depth = 4) ?(drain_cycles = 6) () =
-  { depth; drain_cycles; clock = 0; retire = []; stall_cycles = 0; stores = 0 }
-
-let reset t =
-  t.clock <- 0;
-  t.retire <- [];
-  t.stall_cycles <- 0;
-  t.stores <- 0
-
-(* Advance local time: every reference costs a cycle; read misses freeze
-   the CPU (and drain time passes). *)
-let tick t n = t.clock <- t.clock + n
-
-let store t =
-  t.stores <- t.stores + 1;
-  t.retire <- List.filter (fun r -> r > t.clock) t.retire;
-  let stall =
-    if List.length t.retire < t.depth then 0
-    else
-      match t.retire with
-      | oldest :: rest ->
-        let s = oldest - t.clock in
-        t.retire <- rest;
-        t.clock <- oldest;
-        s
-      | [] -> assert false
-  in
-  let last = match List.rev t.retire with l :: _ -> l | [] -> t.clock in
-  t.retire <- t.retire @ [ max t.clock last + t.drain_cycles ];
-  t.stall_cycles <- t.stall_cycles + stall;
-  stall
-
-(* Absolute-clock variant for the multi-configuration sweep: the caller
-   owns the reference clock (derived lazily from shared event counters
-   instead of eagerly ticked), so between stores the buffer costs nothing.
-   Entries live in a fixed ring — the retire list never exceeds [depth] —
-   and the retire/stall/refill decisions are the same as [store]'s, with
-   [clock] standing in for the eagerly-advanced [t.clock].  The stall is
-   returned; the caller must fold it into later derived clocks exactly as
-   [store] folds it into [t.clock]. *)
+(* The buffer proper, against a clock the caller owns: the
+   multi-configuration sweep derives each lane's clock lazily from shared
+   event counters instead of ticking it, so between stores the buffer
+   costs nothing.  Entries live in a fixed ring of [depth] ascending
+   retirement times; a store first retires every entry at or before
+   [clock], stalls until the oldest retires if the buffer is still full,
+   then queues its own retirement [drain] cycles after the later of the
+   (stalled) clock and the previous entry's.  The stall is returned; the
+   caller must fold it into later clocks, as [store] below does. *)
 type ring = {
   rdepth : int;
   rdrain : int;
@@ -104,3 +64,34 @@ let ring_store r ~clock =
 let ring_reset r =
   r.rhead <- 0;
   r.rcount <- 0
+
+(* The single-configuration simulator's eagerly-ticked buffer: the ring
+   plus its own reference clock. *)
+type t = {
+  ring : ring;
+  mutable clock : int;            (* local reference clock *)
+  mutable stall_cycles : int;
+  mutable stores : int;
+}
+
+let create ?(depth = 4) ?(drain_cycles = 6) () =
+  { ring = ring_create ~depth ~drain_cycles; clock = 0; stall_cycles = 0;
+    stores = 0 }
+
+let reset t =
+  ring_reset t.ring;
+  t.clock <- 0;
+  t.stall_cycles <- 0;
+  t.stores <- 0
+
+(* Advance local time: every reference costs a cycle; read misses freeze
+   the CPU (and drain time passes). *)
+let tick t n = t.clock <- t.clock + n
+
+(* a stall freezes the CPU until the oldest entry retires *)
+let store t =
+  t.stores <- t.stores + 1;
+  let stall = ring_store t.ring ~clock:t.clock in
+  t.clock <- t.clock + stall;
+  t.stall_cycles <- t.stall_cycles + stall;
+  stall

@@ -1,8 +1,8 @@
 (* Allocation regression tests for the memory-reference path.  Every
    simulated reference passes through these calls, in the interpreter
    (translation) and in the trace-driven simulator (cache, LRU stack,
-   TLB, page map); each must allocate nothing, measured as the
-   [Gc.minor_words] delta over many calls.  A closure, tuple, option or
+   write buffer, TLB, page map); each must allocate nothing, measured as
+   the [Gc.minor_words] delta over many calls.  A closure, tuple, option or
    boxed float creeping back into one of them shows here as a whole
    number of words per call. *)
 
@@ -16,6 +16,7 @@ module Kcfg = Systrace_kernel.Kcfg
 module Sim_cache_assoc = Systrace_tracesim.Sim_cache_assoc
 module Sim_stack = Systrace_tracesim.Sim_stack
 module Sim_tlb = Systrace_tracesim.Sim_tlb
+module Sim_wb = Systrace_tracesim.Sim_wb
 
 let calls = 100_000
 
@@ -53,6 +54,38 @@ let test_sim_cache_assoc () =
 let test_sim_stack () =
   let st = Sim_stack.create ~line_bytes:16 ~nsets:256 ~ways:[| 1; 2; 4 |] in
   check_zero "Sim_stack.read" (fun i -> ignore (Sim_stack.read st (addr i)))
+
+(* A 4-member family over 4 sets of up to 8 ways, fed 48 lines in a
+   hashed order: most reads miss somewhere, evict and demote; writes in
+   between leave lines above others that narrow members hold. *)
+let family () = Sim_stack.create ~line_bytes:16 ~nsets:4 ~ways:[| 1; 2; 4; 8 |]
+let hot i = ((((i * 2654435761) lsr 16) land 0xFFFF) mod 48) * 16
+
+let test_sim_stack_write () =
+  let st = family () in
+  let hits = ref 0 in
+  check_zero "Sim_stack.write" (fun i ->
+      ignore (Sim_stack.read st (hot (i * 3)));
+      if Sim_stack.write st (hot i) = 0 then incr hits);
+  Alcotest.(check bool) "write hits seen" true (!hits > 0)
+
+let test_sim_stack_evict () =
+  let st = family () in
+  let partial = ref 0 and all = ref 0 in
+  check_zero "Sim_stack.read, misses and evictions" (fun i ->
+      if i land 3 = 0 then ignore (Sim_stack.write st (hot (i + 5)));
+      let mask = Sim_stack.read st (hot i) in
+      if mask = 15 then incr all else if mask <> 0 then incr partial);
+  if !partial < 1000 || !all < 1000 then
+    Alcotest.failf "%d partial and %d full misses in %d reads" !partial !all calls
+
+(* bursts of back-to-back stores: the buffer fills, stalls and drains *)
+let test_sim_wb () =
+  let wb = Sim_wb.create ~depth:4 ~drain_cycles:6 () in
+  check_zero "Sim_wb.store" (fun i ->
+      Sim_wb.tick wb (if i land 7 = 0 then 40 else 1);
+      ignore (Sim_wb.store wb));
+  Alcotest.(check bool) "stalls exercised" true (wb.Sim_wb.stall_cycles > 0)
 
 let test_sim_tlb () =
   let t = Sim_tlb.create () in
@@ -135,6 +168,10 @@ let tests =
     Alcotest.test_case "Sim_cache_assoc read/write (1, 4 ways)" `Quick
       test_sim_cache_assoc;
     Alcotest.test_case "Sim_stack.read" `Quick test_sim_stack;
+    Alcotest.test_case "Sim_stack.write" `Quick test_sim_stack_write;
+    Alcotest.test_case "Sim_stack.read misses, 4-member family" `Quick
+      test_sim_stack_evict;
+    Alcotest.test_case "Sim_wb.store" `Quick test_sim_wb;
     Alcotest.test_case "Sim_tlb.access with memo misses" `Quick test_sim_tlb;
     Alcotest.test_case "Machine.translate_i, warm cache" `Quick test_translate_i;
     Alcotest.test_case "extract_pagemap lookup" `Quick test_pagemap_lookup;

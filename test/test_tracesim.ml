@@ -8,46 +8,51 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* ------------------------------------------------------------------ *)
-(* Cache model                                                         *)
+(* Cache model: the direct-mapped host organization is a 1-way          *)
+(* Sim_cache_assoc                                                      *)
+
+let dm_cache size = Sim_cache_assoc.create ~size_bytes:size ~line_bytes:16 ~ways:1 ()
 
 let test_cache_compulsory () =
-  let c = Sim_cache.create ~size_bytes:1024 ~line_bytes:16 in
+  let c = dm_cache 1024 in
   for k = 0 to 63 do
-    ignore (Sim_cache.read c (k * 16))
+    ignore (Sim_cache_assoc.read c (k * 16))
   done;
-  check_int "all compulsory" 64 c.Sim_cache.read_misses;
+  check_int "all compulsory" 64 c.Sim_cache_assoc.read_misses;
   for k = 0 to 63 do
-    ignore (Sim_cache.read c (k * 16))
+    ignore (Sim_cache_assoc.read c (k * 16))
   done;
-  check_int "all hits" 64 c.Sim_cache.read_hits
+  check_int "all hits" 64 c.Sim_cache_assoc.read_hits
 
 let test_cache_conflict () =
-  let c = Sim_cache.create ~size_bytes:1024 ~line_bytes:16 in
+  let c = dm_cache 1024 in
   (* two addresses 1024 apart map to the same line *)
-  ignore (Sim_cache.read c 0);
-  ignore (Sim_cache.read c 1024);
-  ignore (Sim_cache.read c 0);
-  check_int "ping-pong misses" 3 c.Sim_cache.read_misses
+  ignore (Sim_cache_assoc.read c 0);
+  ignore (Sim_cache_assoc.read c 1024);
+  ignore (Sim_cache_assoc.read c 0);
+  check_int "ping-pong misses" 3 c.Sim_cache_assoc.read_misses
 
 let test_cache_write_no_allocate () =
-  let c = Sim_cache.create ~size_bytes:1024 ~line_bytes:16 in
-  check "write miss" true (not (Sim_cache.write c 64));
+  let c = dm_cache 1024 in
+  check "write miss" true (not (Sim_cache_assoc.write c 64));
   (* the line was NOT allocated *)
-  check "read still misses" true (not (Sim_cache.read c 64));
+  check "read still misses" true (not (Sim_cache_assoc.read c 64));
   (* but a write to a present line hits *)
-  check "write hit" true (Sim_cache.write c 64)
+  check "write hit" true (Sim_cache_assoc.write c 64)
 
 let prop_cache_sequential =
   QCheck.Test.make ~count:100 ~name:"sequential scan misses once per line"
     QCheck.(pair (int_range 1 6) (int_range 1 64))
     (fun (line_pow, nlines) ->
       let line = 1 lsl (line_pow + 1) in
-      let c = Sim_cache.create ~size_bytes:(line * 256) ~line_bytes:line in
+      let c =
+        Sim_cache_assoc.create ~size_bytes:(line * 256) ~line_bytes:line ~ways:1 ()
+      in
       let bytes = nlines * line in
       for a = 0 to bytes - 1 do
-        ignore (Sim_cache.read c a)
+        ignore (Sim_cache_assoc.read c a)
       done;
-      c.Sim_cache.read_misses = nlines)
+      c.Sim_cache_assoc.read_misses = nlines)
 
 (* ------------------------------------------------------------------ *)
 (* TLB model                                                           *)
@@ -278,20 +283,45 @@ let test_assoc_write_no_allocate () =
   Alcotest.(check bool) "still absent" false (Sim_cache_assoc.read c 0x40);
   Alcotest.(check bool) "write hit after fill" true (Sim_cache_assoc.write c 0x40)
 
+(* Direct-mapped, write-through/no-write-allocate reference model: one
+   tag per line slot.  The oracle for the 1-way associative cache, which
+   is the host organization everywhere in the simulator. *)
+module Dm = struct
+  type t = { shift : int; tags : int array }
+
+  let create ~size_bytes ~line_bytes =
+    let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+    { shift = log2 line_bytes; tags = Array.make (size_bytes / line_bytes) (-1) }
+
+  let slot t pa =
+    let ln = pa lsr t.shift in
+    (ln, ln mod Array.length t.tags)
+
+  let read t pa =
+    let ln, i = slot t pa in
+    let hit = t.tags.(i) = ln in
+    t.tags.(i) <- ln;
+    hit
+
+  let write t pa =
+    let ln, i = slot t pa in
+    t.tags.(i) = ln
+end
+
 let prop_assoc_one_way_equals_direct =
-  (* The cross-check promised in the .mli: a 1-way associative cache is
-     access-for-access identical to the direct-mapped validation model. *)
+  (* a 1-way associative cache is access-for-access identical to the
+     direct-mapped model above *)
   QCheck.Test.make ~count:200 ~name:"1-way assoc cache == direct-mapped"
     QCheck.(
       list_of_size Gen.(int_range 1 300)
         (pair bool (map (fun a -> a land 0xFFFF) (int_bound max_int))))
     (fun accesses ->
-      let dm = Sim_cache.create ~size_bytes:1024 ~line_bytes:16 in
+      let dm = Dm.create ~size_bytes:1024 ~line_bytes:16 in
       let sa = Sim_cache_assoc.create ~size_bytes:1024 ~line_bytes:16 ~ways:1 () in
       List.for_all
         (fun (is_read, pa) ->
-          if is_read then Sim_cache.read dm pa = Sim_cache_assoc.read sa pa
-          else Sim_cache.write dm pa = Sim_cache_assoc.write sa pa)
+          if is_read then Dm.read dm pa = Sim_cache_assoc.read sa pa
+          else Dm.write dm pa = Sim_cache_assoc.write sa pa)
         accesses)
 
 let prop_assoc_full_lru_compulsory_only =
@@ -424,20 +454,37 @@ let tests =
 
 let prop_stack_equals_assoc_family =
   (* The .mli contract: a stack family member with associativity W is
-     read-for-read identical to an independent W-way Sim_cache_assoc over
-     the same sets. *)
-  QCheck.Test.make ~count:200 ~name:"LRU stack == independent assoc caches"
-    QCheck.(
-      triple
-        (pair (int_range 0 2) (int_range 0 4)) (* line = 16<<l, nsets = 1<<n *)
-        (list_of_size Gen.(int_range 1 4) (int_range 1 3)) (* way exponents *)
-        (list_of_size Gen.(int_range 1 400)
-           (map (fun a -> a land 0xFFFF) (int_bound max_int))))
-    (fun ((l, n), wexps, pas) ->
-      let line = 16 lsl l and nsets = 1 lsl n in
-      let ways =
-        Array.of_list (List.sort_uniq compare (List.map (fun e -> 1 lsl e) wexps))
-      in
+     reference-for-reference identical, reads and no-allocate writes
+     alike, to an independent W-way write-through Sim_cache_assoc over the
+     same sets.  Families mix non-power-of-two ways and set counts; the
+     lines are drawn from a footprint a few lines wider than the widest
+     member per set, so evictions, re-reads of lines some members lost,
+     and write hits on lines only the wide members hold all occur. *)
+  QCheck.Test.make ~count:300 ~name:"LRU stack == independent assoc caches"
+    (QCheck.make
+       ~print:(fun (line, nsets, ways, refs) ->
+         Printf.sprintf "line %d, nsets %d, ways [%s], %d refs" line nsets
+           (String.concat ";" (List.map string_of_int ways))
+           (List.length refs))
+       QCheck.Gen.(
+         let* line = oneofl [ 16; 32; 64 ] in
+         let* nsets = oneofl [ 1; 2; 3; 4; 5; 8; 16 ] in
+         let* ways =
+           map (List.sort_uniq compare)
+             (list_size (int_range 1 4) (oneofl [ 1; 2; 3; 4; 6; 8; 16 ]))
+         in
+         let lines = nsets * (List.fold_left max 0 ways + 3) in
+         let* write_pct = int_range 0 60 in
+         let* refs =
+           list_size (int_range 1 600)
+             (pair
+                (map (fun p -> p >= write_pct) (int_bound 99))
+                (map2 (fun ln off -> (ln * line) + off) (int_bound (lines - 1))
+                   (int_bound (line - 1))))
+         in
+         return (line, nsets, ways, refs)))
+    (fun (line, nsets, ways, refs) ->
+      let ways = Array.of_list ways in
       let st = Sim_stack.create ~line_bytes:line ~nsets ~ways in
       let members =
         Array.map
@@ -447,37 +494,71 @@ let prop_stack_equals_assoc_family =
           ways
       in
       List.for_all
-        (fun pa ->
-          let mask = Sim_stack.read st pa in
-          Array.to_list
-            (Array.mapi
-               (fun i c ->
-                 let hit = Sim_cache_assoc.read c pa in
-                 (mask lsr i) land 1 = if hit then 0 else 1)
-               members)
-          |> List.for_all Fun.id)
-        pas)
+        (fun (is_read, pa) ->
+          let mask = if is_read then Sim_stack.read st pa else Sim_stack.write st pa in
+          let agree = ref true in
+          Array.iteri
+            (fun i c ->
+              let hit =
+                if is_read then Sim_cache_assoc.read c pa
+                else Sim_cache_assoc.write c pa
+              in
+              if (mask lsr i) land 1 = Bool.to_int hit then agree := false)
+            members;
+          !agree && mask lsr Array.length ways = 0)
+        refs)
+
+(* The write buffer's original list model, eagerly ticked: entries retire
+   when the clock passes them, a full buffer stalls the clock to the
+   oldest entry's retirement, and each store retires [drain] cycles after
+   the later of the clock and the previous entry.  The oracle for
+   Sim_wb's ring. *)
+module Wb_list = struct
+  type t = { depth : int; drain : int; mutable clock : int; mutable retire : int list }
+
+  let create ~depth ~drain = { depth; drain; clock = 0; retire = [] }
+  let tick t n = t.clock <- t.clock + n
+
+  let store t =
+    t.retire <- List.filter (fun r -> r > t.clock) t.retire;
+    let stall =
+      match t.retire with
+      | oldest :: rest when List.length t.retire >= t.depth ->
+        t.retire <- rest;
+        let s = oldest - t.clock in
+        t.clock <- oldest;
+        s
+      | _ -> 0
+    in
+    let last = List.fold_left max t.clock t.retire in
+    t.retire <- t.retire @ [ last + t.drain ];
+    stall
+end
 
 let prop_ring_equals_wb =
-  (* The absolute-clock ring returns the same stall per store as the
-     eagerly-ticked list model, given the clock the latter would hold. *)
+  (* The ring returns the same stall per store as the eagerly-ticked list
+     model, both through Sim_wb's own ticked clock and against the clock
+     the sweep derives (ticks so far plus stalls so far). *)
   QCheck.Test.make ~count:200 ~name:"wb ring == eager wb model"
     QCheck.(
       pair
         (pair (int_range 1 6) (int_range 0 10)) (* depth, drain *)
         (list_of_size Gen.(int_range 1 300) (int_range 0 12) (* inter-store gaps *)))
     (fun ((depth, drain), gaps) ->
+      let oracle = Wb_list.create ~depth ~drain in
       let wb = Sim_wb.create ~depth ~drain_cycles:drain () in
       let ring = Sim_wb.ring_create ~depth ~drain_cycles:drain in
       let base = ref 0 (* sum of ticks *) and stalls = ref 0 in
       List.for_all
         (fun gap ->
+          Wb_list.tick oracle gap;
           Sim_wb.tick wb gap;
           base := !base + gap;
+          let s_list = Wb_list.store oracle in
           let s_eager = Sim_wb.store wb in
           let s_ring = Sim_wb.ring_store ring ~clock:(!base + !stalls) in
           stalls := !stalls + s_ring;
-          s_eager = s_ring)
+          s_list = s_eager && s_list = s_ring && wb.Sim_wb.clock = oracle.Wb_list.clock)
         gaps)
 
 let prop_write_accounting =
@@ -558,6 +639,44 @@ let event_gen =
     let* is_load = bool in
     return (is_inst, addr, pid, kernel, is_load))
 
+(* Hot-footprint mode: a few dozen lines over a handful of sets, in
+   bursts, about half of them write-heavy.  Offsets a multiple of 4096
+   apart share a set index in every geometry drawn here (line * nsets <=
+   4096), so each hot set holds more lines than the narrow members of a
+   cache family can; write bursts then hit lines that only the wider
+   members still hold, where no-write-allocate makes membership differ
+   from LRU stack depth.  (Scattered events over a 256 KB window almost
+   always miss, and would not see a wrong family.) *)
+let hot_events_gen ~bursts =
+  QCheck.Gen.(
+    let hot_addr =
+      let* seg =
+        frequency
+          [ (3, return 0x80000000); (3, return 0x00400000);
+            (1, return 0xC0000000); (1, return 0xA0000000) ]
+      in
+      let* tag = int_bound 7 and* set = int_bound 3 and* word = int_bound 3 in
+      return (seg + (tag * 4096) + (set * 16) + (word * 4))
+    in
+    let burst =
+      let* write_pct = oneofl [ 0; 20; 75 ] and* n = int_range 2 12 in
+      list_repeat n
+        (let* addr = hot_addr and* pid = int_range 0 3 and* kernel = bool in
+         let* is_inst = map (fun p -> p < 25) (int_bound 99) in
+         let* is_load = map (fun p -> p >= write_pct) (int_bound 99) in
+         return (is_inst, addr, pid, kernel, is_load))
+    in
+    let* bursts = list_size (int_range 1 bursts) burst in
+    return (List.concat bursts))
+
+(* either mode, half the time each, of comparable lengths (a burst
+   averages 7 events) *)
+let events_gen ~max_events =
+  QCheck.Gen.(
+    oneof
+      [ list_size (int_range 1 max_events) event_gen;
+        hot_events_gen ~bursts:(max_events / 7) ])
+
 let drive_events feed_inst feed_data events =
   List.iter
     (fun (is_inst, addr, pid, kernel, is_load) ->
@@ -582,8 +701,9 @@ let prop_sweep_equals_independent =
   (* The tentpole contract: Memsim.sweep over an arbitrary configuration
      list produces stats identical to N independent single-config runs on
      the same event stream.  Configurations are drawn with independent
-     random axes, so a run mixes TLB groups, plain and stacked icache
-     units, deduplicated identical configs, and distinct write buffers. *)
+     random axes, so a run mixes TLB groups, one- and many-member cache
+     families on both sides, deduplicated identical configs, and distinct
+     write buffers. *)
   QCheck.Test.make ~count:60 ~name:"sweep == independent single-config runs"
     (QCheck.make ~print:(fun (cfgs, events) ->
          Printf.sprintf "%d cfgs, %d events" (List.length cfgs)
@@ -592,7 +712,7 @@ let prop_sweep_equals_independent =
          let cfg_gen =
            let* is_exp = int_range 0 2 and* ds_exp = int_range 0 2 in
            let* iline = oneofl [ 16; 32 ] and* dline = oneofl [ 4; 16 ] in
-           let* iways = oneofl [ 1; 2 ] and* dways = oneofl [ 1; 2 ] in
+           let* iways = oneofl [ 1; 2; 4 ] and* dways = oneofl [ 1; 2; 4 ] in
            let* tlb = oneofl [ 16; 32; 64 ] in
            let* wb = oneofl [ 2; 4 ] in
            return
@@ -609,17 +729,17 @@ let prop_sweep_equals_independent =
              }
          in
          let* cfgs = list_size (int_range 1 6) cfg_gen in
-         let* events = list_size (int_range 1 500) event_gen in
+         let* events = events_gen ~max_events:500 in
          return (cfgs, events)))
     (fun (cfgs, events) -> check_sweep_matches_singles cfgs events)
 
 let prop_sweep_grid_equals_independent =
   (* Same contract through Memsim.grid's nested families, where the size
-     axis is guaranteed to exercise the LRU-stack fast path. *)
+     axis makes every icache and dcache unit a three-member stack. *)
   QCheck.Test.make ~count:40 ~name:"sweep over nested grid == singles"
     (QCheck.make ~print:(fun events ->
          Printf.sprintf "%d events" (List.length events))
-       QCheck.Gen.(list_size (int_range 1 400) event_gen))
+       (events_gen ~max_events:400))
     (fun events ->
       let cfgs =
         List.map snd
