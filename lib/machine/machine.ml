@@ -155,12 +155,20 @@ let[@inline] tc_entry vpn pa cached =
    physical word address of the block entry; collisions just evict. *)
 let bcache_slots = 1 lsl 14
 
+(* Decode-cache pages: one slot array per 4 KB physical page. *)
+let dec_page_shift = Addr.page_shift - 2
+let dec_page_words = 1 lsl dec_page_shift
+
 type t = {
   cfg : config;
   mem : Bytes.t;
   (* Decoded-instruction cache: one slot per physical word, invalidated on
-     stores. *)
-  dec : Insn.t array;
+     stores by clearing the word's [dec_valid] byte.  The slots live in
+     one array per physical page, allocated by the page's first decode
+     (every page starts as the shared empty array), so a machine pays
+     only for the text it runs.  A set valid byte implies its page is
+     allocated. *)
+  dec : Insn.t array array;
   dec_valid : Bytes.t;
   (* Basic-block execution cache (the Super tier): direct-mapped
      block table plus the per-physical-page store generations whose
@@ -246,7 +254,7 @@ let create ?(cfg = default_config) () =
   {
     cfg;
     mem = Bytes.make cfg.mem_bytes '\000';
-    dec = Array.make words Insn.nop;
+    dec = Array.make ((words + dec_page_words - 1) lsr dec_page_shift) [||];
     dec_valid = Bytes.make words '\000';
     bcache_tab =
       (if cfg.tier = Uop.Step then [||]
@@ -619,6 +627,29 @@ let store_double_timed t va ft =
   (* 8-byte aligned, so both words share one page *)
   bgen_bump t pa
 
+(* Read through the decode cache, decoding (at [va], which fixes the
+   branch targets) and allocating the page's slot array on a miss. *)
+let decode_at t ~va ~pa =
+  let w = pa lsr 2 in
+  let p = w lsr dec_page_shift in
+  if Bytes.get t.dec_valid w = '\001' then
+    t.dec.(p).(w land (dec_page_words - 1))
+  else begin
+    let insn = Encode.decode ~pc:va (read_phys_u32 t pa) in
+    let page =
+      let page = t.dec.(p) in
+      if Array.length page > 0 then page
+      else begin
+        let page = Array.make dec_page_words Insn.nop in
+        t.dec.(p) <- page;
+        page
+      end
+    in
+    page.(w land (dec_page_words - 1)) <- insn;
+    Bytes.set t.dec_valid w '\001';
+    insn
+  end
+
 (* Instruction fetch with decode caching. *)
 let fetch_timed t va =
   if va land 3 <> 0 then trap ~badva:va Exc.adel;
@@ -633,14 +664,7 @@ let fetch_timed t va =
     t.c.uncached_ifetches <- t.c.uncached_ifetches + 1;
     t.cycles <- t.cycles + t.cfg.uncached_penalty
   end;
-  let w = pa lsr 2 in
-  if Bytes.get t.dec_valid w = '\001' then t.dec.(w)
-  else begin
-    let insn = Encode.decode ~pc:va (read_phys_u32 t pa) in
-    t.dec.(w) <- insn;
-    Bytes.set t.dec_valid w '\001';
-    insn
-  end
+  decode_at t ~va ~pa
 
 (* ------------------------------------------------------------------ *)
 (* 32-bit arithmetic helpers                                           *)
@@ -776,6 +800,38 @@ let branch t cond tgt =
   t.next_is_delay <- true;
   if cond then t.npc <- target tgt
 
+(* The FP arms of [exec], shared with the block executor's FP uops. *)
+let exec_fload t ft va =
+  let pa = load_double_timed t va in
+  ref_trace t 1 va;
+  t.fregs.(ft) <- Int64.float_of_bits (Bytes.get_int64_le t.mem pa);
+  Fpu.set_ready t.fpu ~now:t.cycles ft
+
+let exec_fstore t ft va =
+  t.cycles <- t.cycles + Fpu.wait1 t.fpu ~now:t.cycles ft;
+  store_double_timed t va ft;
+  ref_trace t 2 va
+
+let exec_fop t (op : Insn.fop) fd fs ft =
+  t.cycles <-
+    t.cycles
+    + (match op with
+      | FADD | FSUB | FMUL | FDIV -> Fpu.wait2 t.fpu ~now:t.cycles fs ft
+      | _ -> Fpu.wait1 t.fpu ~now:t.cycles fs);
+  t.cycles <- t.cycles + Fpu.issue t.fpu ~now:t.cycles ~op ~dst:fd;
+  let a = t.fregs.(fs) and b = t.fregs.(ft) in
+  t.fregs.(fd) <-
+    (match op with
+    | FADD -> a +. b
+    | FSUB -> a -. b
+    | FMUL -> a *. b
+    | FDIV -> a /. b
+    | FABS -> abs_float a
+    | FNEG -> -.a
+    | FMOV -> a
+    | CVTDW -> a
+    | TRUNCWD -> Float.of_int (int_of_float a))
+
 let exec t cur insn =
   match (insn : Insn.t) with
   | Alu (op, rd, rs, rt) -> exec_alu t op rd rs rt
@@ -810,16 +866,9 @@ let exec t cur insn =
     store_timed t va bytes (reg_get t rt);
     ref_trace t 2 va
   | Fload (ft, base, off) ->
-    let va = u32 (reg_get t base + imm_value off) in
-    let pa = load_double_timed t va in
-    ref_trace t 1 va;
-    t.fregs.(ft) <- Int64.float_of_bits (Bytes.get_int64_le t.mem pa);
-    Fpu.set_ready t.fpu ~now:t.cycles ft
+    exec_fload t ft (u32 (reg_get t base + imm_value off))
   | Fstore (ft, base, off) ->
-    let va = u32 (reg_get t base + imm_value off) in
-    t.cycles <- t.cycles + Fpu.wait1 t.fpu ~now:t.cycles ft;
-    store_double_timed t va ft;
-    ref_trace t 2 va
+    exec_fstore t ft (u32 (reg_get t base + imm_value off))
   | Beq (rs, rt, tg) -> branch t (reg_get t rs = reg_get t rt) tg
   | Bne (rs, rt, tg) -> branch t (reg_get t rs <> reg_get t rt) tg
   | Blez (rs, tg) -> branch t (s32 (reg_get t rs) <= 0) tg
@@ -874,25 +923,7 @@ let exec t cur insn =
   | Mtc1 (rt, fs) ->
     t.fregs.(fs) <- float_of_int (s32 (reg_get t rt));
     Fpu.set_ready t.fpu ~now:t.cycles fs
-  | Fop (op, fd, fs, ft) ->
-    t.cycles <-
-      t.cycles
-      + (match op with
-        | FADD | FSUB | FMUL | FDIV -> Fpu.wait2 t.fpu ~now:t.cycles fs ft
-        | _ -> Fpu.wait1 t.fpu ~now:t.cycles fs);
-    t.cycles <- t.cycles + Fpu.issue t.fpu ~now:t.cycles ~op ~dst:fd;
-    let a = t.fregs.(fs) and b = t.fregs.(ft) in
-    t.fregs.(fd) <-
-      (match op with
-      | FADD -> a +. b
-      | FSUB -> a -. b
-      | FMUL -> a *. b
-      | FDIV -> a /. b
-      | FABS -> abs_float a
-      | FNEG -> -.a
-      | FMOV -> a
-      | CVTDW -> a
-      | TRUNCWD -> Float.of_int (int_of_float a))
+  | Fop (op, fd, fs, ft) -> exec_fop t op fd fs ft
   | Fcmp (c, fs, ft) ->
     t.cycles <- t.cycles + Fpu.wait2 t.fpu ~now:t.cycles fs ft;
     t.cycles <- t.cycles + Fpu.issue_compare t.fpu ~now:t.cycles;
@@ -973,20 +1004,10 @@ let step t =
    the per-fetch alignment check, translation, bounds check, decode-cache
    probe, and the interpreter's per-[exec] closure allocations. *)
 
-(* Decode one word through the same per-word cache [fetch_timed] uses —
+(* Blocks decode through the same per-word cache [fetch_timed] uses —
    the shared cache is what keeps block-mode and step-mode byte-identical
    even in the aliased-mapping corner where a cached entry was decoded at
    a different va. *)
-let bb_decode t ~va ~pa =
-  let w = pa lsr 2 in
-  if Bytes.get t.dec_valid w = '\001' then t.dec.(w)
-  else begin
-    let insn = Encode.decode ~pc:va (read_phys_u32 t pa) in
-    t.dec.(w) <- insn;
-    Bytes.set t.dec_valid w '\001';
-    insn
-  end
-
 let bb_lookup t ~va ~pa ~cached =
   let slot = (pa lsr 2) land (bcache_slots - 1) in
   let b = Array.unsafe_get t.bcache_tab slot in
@@ -997,7 +1018,7 @@ let bb_lookup t ~va ~pa ~cached =
   else begin
     let b =
       Uop.build
-        ~decode:(fun ~va ~pa -> bb_decode t ~va ~pa)
+        ~decode:(fun ~va ~pa -> decode_at t ~va ~pa)
         ~va ~pa ~cached
         ~gen:(t.bgen.(pa lsr Addr.page_shift))
     in
@@ -1340,6 +1361,17 @@ let rec bb_go t b lim budget k pa cur ce next_ev ptag =
          reg_set t rd (cur + 8);
          t.next_is_delay <- true;
          t.npc <- dest;
+         bb_fin t b lim budget k pa cur ce next_ev ptag
+       | U_fload (ft, base, off) ->
+         t.bb_k <- k;
+         exec_fload t ft (u32 (Array.unsafe_get t.regs base + off));
+         bb_fin t b lim budget k pa cur ce next_ev ptag
+       | U_fstore (ft, base, off) ->
+         t.bb_k <- k;
+         exec_fstore t ft (u32 (Array.unsafe_get t.regs base + off));
+         bb_fin_store t b lim budget k pa cur ce next_ev ptag
+       | U_fop (op, fd, fs, ft) ->
+         exec_fop t op fd fs ft;
          bb_fin t b lim budget k pa cur ce next_ev ptag
        | U_li (rt, imm) ->
          (* lui+ori collapsed to one write; the bail-out path

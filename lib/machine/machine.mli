@@ -89,7 +89,12 @@ val tc_slot : int -> int
 type t = {
   cfg : config;
   mem : Bytes.t;
-  dec : Insn.t array;
+  dec : Insn.t array array;
+      (** Decoded-instruction cache, one slot array per 4 KB physical
+          page, allocated by the page's first decode (an unused page is
+          the shared empty array).  A word's slot is current exactly
+          while its [dec_valid] byte is set; every physical write clears
+          that byte. *)
   dec_valid : Bytes.t;
   bcache_tab : Uop.block array;
   bgen : Uop.Gens.t;

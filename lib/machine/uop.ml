@@ -44,6 +44,9 @@ type t =
   | U_jal of int
   | U_jr of int
   | U_jalr of int * int
+  | U_fload of int * int * int             (* ft, base, off *)
+  | U_fstore of int * int * int
+  | U_fop of Insn.fop * int * int * int    (* fd, fs, ft *)
   | U_li of int * int
   | U_addiu2 of int * int * int * int * int * int
   | U_slt_b of bool * int * int * int * bool * int
@@ -78,6 +81,9 @@ let of_insn (insn : Insn.t) : t =
   | Jal (Abs a) -> U_jal a
   | Jr rs -> U_jr rs
   | Jalr (rd, rs) -> U_jalr (rd, rs)
+  | Fload (ft, base, Imm off) -> U_fload (ft, base, off)
+  | Fstore (ft, base, Imm off) -> U_fstore (ft, base, off)
+  | Fop (op, fd, fs, ft) -> U_fop (op, fd, fs, ft)
   | _ -> U_other insn
 
 (* Instructions that can change fetch semantics for their successors

@@ -76,6 +76,9 @@ type t =
   | U_jal of int
   | U_jr of int
   | U_jalr of int * int
+  | U_fload of int * int * int             (* ft, base, off: l.d *)
+  | U_fstore of int * int * int            (* s.d *)
+  | U_fop of Insn.fop * int * int * int    (* fd, fs, ft *)
   | U_li of int * int
       (** [lui rt; ori rt, rt, lo] — rt, full 32-bit immediate *)
   | U_addiu2 of int * int * int * int * int * int

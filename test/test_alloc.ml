@@ -4,7 +4,9 @@
    write buffer, TLB, page map); each must allocate nothing, measured as
    the [Gc.minor_words] delta over many calls.  A closure, tuple, option or
    boxed float creeping back into one of them shows here as a whole
-   number of words per call. *)
+   number of words per call.  The machine's own footprint is bounded
+   too: what creating one allocates and how much decode cache a boot
+   materialises. *)
 
 open Systrace
 
@@ -118,6 +120,17 @@ let test_translate_i () =
   check_zero "Machine.translate_i (store)" (fun i ->
       ignore (Machine.translate_i m (va i) ~write:true ~fetch:false))
 
+(* The decode cache is allocated page by page as text first runs, so
+   creating a machine allocates little beyond its RAM, disk image and
+   decode-valid bytes (3.7M words); a slot per word of RAM adds 4M. *)
+let test_create_words () =
+  let b0 = Gc.allocated_bytes () in
+  let m = Machine.create () in
+  let words = (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity m);
+  if words >= 4e6 then
+    Alcotest.failf "Machine.create: %.0f words allocated (bound 4M)" words
+
 (* A traced egrep/Ultrix system, run to completion, with its run's minor
    words per instruction. *)
 let traced_egrep =
@@ -163,6 +176,20 @@ let test_traced_run_words () =
     Alcotest.failf "traced egrep/Ultrix: %.3f minor words per instruction (bound 0.5)"
       per_insn
 
+(* Only pages that held executed text get decode slots. *)
+let test_decoded_pages () =
+  let t, _ = Lazy.force traced_egrep in
+  let m = t.Builder.machine in
+  let pages = Array.length m.Machine.dec in
+  let used =
+    Array.fold_left (fun n p -> if Array.length p > 0 then n + 1 else n) 0
+      m.Machine.dec
+  in
+  Alcotest.(check int) "decode pages cover RAM" 4096 pages;
+  if used >= 64 then
+    Alcotest.failf "traced egrep/Ultrix: %d of %d decode pages allocated (bound 64)"
+      used pages
+
 let tests =
   [
     Alcotest.test_case "Sim_cache_assoc read/write (1, 4 ways)" `Quick
@@ -177,4 +204,7 @@ let tests =
     Alcotest.test_case "extract_pagemap lookup" `Quick test_pagemap_lookup;
     Alcotest.test_case "traced egrep/Ultrix minor words per insn" `Quick
       test_traced_run_words;
+    Alcotest.test_case "Machine.create words" `Quick test_create_words;
+    Alcotest.test_case "traced egrep/Ultrix decode pages" `Quick
+      test_decoded_pages;
   ]

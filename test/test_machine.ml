@@ -1036,6 +1036,9 @@ let bb_fingerprint (m : Machine.t) =
       (c.Machine.utlb_misses, c.Machine.ktlb_misses, c.Machine.exceptions,
        c.Machine.interrupts, c.Machine.clock_ticks),
       (Machine.icache_misses m, Machine.dcache_misses m, Machine.wb_stalls m) ),
+    ( Array.to_list (Array.map Int64.bits_of_float m.Machine.fregs),
+      m.Machine.fcc,
+      Machine.arith_stalls m ),
     Machine.console_contents m )
 
 (* The general/utlb vectors get a host-assembled stub: interrupts ack the
@@ -1109,7 +1112,12 @@ let bb_run_both ?(prepare = fun (_ : Machine.t) -> ()) ?(max_insns = 400_000)
    the stores self-modifying code does); [Call_slot] jumps into it, so a
    stale decoded block would be caught immediately.  [Delay_fault] puts
    an unaligned load in a jump's delay slot: the fault must recover the
-   branch pc and the in-delay flag from mid-block state. *)
+   branch pc and the in-delay flag from mid-block state.  The [Fp_*]
+   fragments drive the FP uops: a dependent add/mul/div chain that
+   stalls on the FP scoreboard, l.d/s.d over aligned doubles, a s.d
+   reloaded from the same address, and an l.d or s.d at a word- but
+   not double-aligned address (traps), optionally in a jump's delay
+   slot. *)
 type bb_op =
   | Arith of int
   | Mem_rw of int
@@ -1119,8 +1127,15 @@ type bb_op =
   | Call_slot of int
   | Unaligned
   | Delay_fault
+  | Fp_chain of int
+  | Fp_mem of int
+  | Fp_spill of int
+  | Fp_misaligned of bool * bool  (* store?, in a delay slot? *)
 
 let bb_nslots = 3
+
+(* Doubles live above the words [Mem_rw] writes. *)
+let bb_fp_va k = data_va + 0x400 + (8 * (k land 15))
 
 let bb_emit_op a fresh op =
   let open Asm in
@@ -1163,6 +1178,35 @@ let bb_emit_op a fresh op =
     i a (Insn.J (Insn.Sym l));
     i a (Insn.Load (Insn.W, Reg.t9, Reg.t8, Insn.Imm 0));
     label a l
+  | Fp_chain k ->
+    li a Reg.t6 k;
+    mtc1 a Reg.t6 2;
+    cvtdw a 2 2;
+    fadd a 4 4 2;
+    fmul a 4 4 2;
+    fdiv a 4 4 2;
+    fadd a 6 4 2;
+    fdiv a 6 6 2;
+    fmul a 4 6 4;
+    fcmp a Insn.FLT 4 2
+  | Fp_mem k ->
+    li a Reg.t4 (bb_fp_va k);
+    ld a 8 0 Reg.t4;
+    fadd a 8 8 4;
+    sd a 8 8 Reg.t4
+  | Fp_spill k ->
+    li a Reg.t4 (bb_fp_va k);
+    sd a 4 0 Reg.t4;
+    ld a 12 0 Reg.t4;
+    fadd a 14 12 2
+  | Fp_misaligned (store, in_delay) ->
+    let l = fresh "fdf" in
+    li a Reg.t8 (data_va + 0x504);
+    if in_delay then i a (Insn.J (Insn.Sym l));
+    i a
+      (if store then Insn.Fstore (4, Reg.t8, Insn.Imm 0)
+       else Insn.Fload (10, Reg.t8, Insn.Imm 0));
+    label a l
 
 let bb_build_program ops a =
   let open Asm in
@@ -1187,23 +1231,31 @@ let bb_gen_op =
       (3, map (fun s -> Call_slot s) (int_range 0 2));
       (1, return Unaligned);
       (1, return Delay_fault);
+      (2, map (fun k -> Fp_chain k) (int_range 1 9));
+      (2, map (fun k -> Fp_mem k) (int_range 0 15));
+      (1, map (fun k -> Fp_spill k) (int_range 0 15));
+      (1, map2 (fun st d -> Fp_misaligned (st, d)) bool bool);
     ]
+
+let bb_op_name = function
+  | Arith k -> Printf.sprintf "arith%d" k
+  | Mem_rw k -> Printf.sprintf "mem%d" k
+  | Skip_fwd -> "skip"
+  | Loop (n, k) -> Printf.sprintf "loop%dx%d" n k
+  | Patch (s, k) -> Printf.sprintf "patch%d<-%d" s k
+  | Call_slot s -> Printf.sprintf "call%d" s
+  | Unaligned -> "unaligned"
+  | Delay_fault -> "delayfault"
+  | Fp_chain k -> Printf.sprintf "fchain%d" k
+  | Fp_mem k -> Printf.sprintf "fmem%d" k
+  | Fp_spill k -> Printf.sprintf "fspill%d" k
+  | Fp_misaligned (st, d) ->
+    Printf.sprintf "f%smisaligned%s" (if st then "st" else "ld")
+      (if d then "-delay" else "")
 
 let bb_arb_ops =
   QCheck.make
-    ~print:(fun ops ->
-      String.concat " "
-        (List.map
-           (function
-             | Arith k -> Printf.sprintf "arith%d" k
-             | Mem_rw k -> Printf.sprintf "mem%d" k
-             | Skip_fwd -> "skip"
-             | Loop (n, k) -> Printf.sprintf "loop%dx%d" n k
-             | Patch (s, k) -> Printf.sprintf "patch%d<-%d" s k
-             | Call_slot s -> Printf.sprintf "call%d" s
-             | Unaligned -> "unaligned"
-             | Delay_fault -> "delayfault")
-           ops))
+    ~print:(fun ops -> String.concat " " (List.map bb_op_name ops))
     QCheck.Gen.(list_size (int_range 1 40) bb_gen_op)
 
 let prop_bcache_matches_step =
@@ -1305,7 +1357,12 @@ let prop_bcache_tlb_remap =
    defers by exactly one instruction (the regression that motivated
    this property: block chaining must not defer it further). *)
 
-type bb_clk_op = Clk_arith of int | Clk_skip | Clk_loop of int * int | Clk_mem of int
+type bb_clk_op =
+  | Clk_arith of int
+  | Clk_skip
+  | Clk_loop of int * int
+  | Clk_mem of int
+  | Clk_fp of bb_op
 
 let bb_clk_build ops a =
   let open Asm in
@@ -1319,7 +1376,8 @@ let bb_clk_build ops a =
         | Clk_arith k -> Arith k
         | Clk_skip -> Skip_fwd
         | Clk_loop (n, k) -> Loop (n, k)
-        | Clk_mem k -> Mem_rw k))
+        | Clk_mem k -> Mem_rw k
+        | Clk_fp op -> op))
     ops;
   halt a;
   for s = 0 to bb_nslots - 1 do
@@ -1344,6 +1402,16 @@ let bb_clk_arb =
                 (3, return Clk_skip);
                 (4, map2 (fun n k -> Clk_loop (n, k)) (int_range 2 8) (int_range 1 9));
                 (2, map (fun k -> Clk_mem k) (int_range 0 63));
+                (* FP stalls move the clock across the event horizon *)
+                ( 3,
+                  map2
+                    (fun c k ->
+                      Clk_fp
+                        (match c with
+                        | 0 -> Fp_chain (k + 1)
+                        | 1 -> Fp_mem k
+                        | _ -> Fp_spill k))
+                    (int_range 0 2) (int_range 0 15) );
               ])))
 
 let prop_bcache_clock_interrupts =

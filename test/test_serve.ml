@@ -487,43 +487,48 @@ let test_torn_frames_and_disconnects () =
   (* every accepted connection's descriptor is back *)
   check_int "no leaked file descriptors" baseline_fds (open_fds ())
 
-let test_ctl_stats_shutdown () =
-  let path = tmp_name "ctl_d" in
-  let ctl = tmp_name "ctl_c" in
-  let cfg =
+(* One request on the control socket at [ctl], its whole reply. *)
+let ctl_ask ctl cmd =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX ctl);
+      ignore (Unix.write_substring fd (cmd ^ "\n") 0 (String.length cmd + 1));
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let b = Buffer.create 256 in
+      let chunk = Bytes.create 256 in
+      let rec go () =
+        match Unix.read fd chunk 0 256 with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes b chunk 0 n;
+          go ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      in
+      go ();
+      Buffer.contents b)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let ctl_config tag =
+  let path = tmp_name (tag ^ "_d") in
+  let ctl = tmp_name (tag ^ "_c") in
+  ( path,
+    ctl,
     {
       (Server.default_config Server.null_pipeline) with
       Server.unix_path = Some path;
       ctl_path = Some ctl;
-    }
-  in
+    } )
+
+let test_ctl_stats_shutdown () =
+  let path, ctl, cfg = ctl_config "ctl" in
   let t = Server.start cfg in
-  let ask cmd =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.connect fd (Unix.ADDR_UNIX ctl);
-        ignore (Unix.write_substring fd (cmd ^ "\n") 0 (String.length cmd + 1));
-        Unix.shutdown fd Unix.SHUTDOWN_SEND;
-        let b = Buffer.create 256 in
-        let chunk = Bytes.create 256 in
-        let rec go () =
-          match Unix.read fd chunk 0 256 with
-          | 0 -> ()
-          | n ->
-            Buffer.add_subbytes b chunk 0 n;
-            go ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        in
-        go ();
-        Buffer.contents b)
-  in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
+  let ask = ctl_ask ctl in
   ignore (Client.run (Client.Unix_path path) [| 1; 2; 3 |]);
   let reply = ask "stats" in
   check_bool "stats reply lists totals" true (contains reply "streams_total 1");
@@ -535,6 +540,29 @@ let test_ctl_stats_shutdown () =
   (* the daemon exits on its own after a ctl shutdown *)
   Server.wait t;
   check_bool "socket path unlinked after wait" false (Sys.file_exists path)
+
+(* A stream's reply is its acknowledgement: stats asked for after the
+   client has read it must already count the stream and its words, both
+   in-process and over the control socket. *)
+let test_stats_after_reply () =
+  let path, ctl, cfg = ctl_config "ack" in
+  with_server cfg (fun t ->
+      for round = 1 to 30 do
+        let words = Array.init round (fun i -> i) in
+        (match Client.run (Client.Unix_path path) words with
+        | Some r -> check_int "words echoed" round r.Client.r_words
+        | None -> Alcotest.fail "stream rejected");
+        let total = round * (round + 1) / 2 in
+        let s = Server.stats t in
+        check_int "streams_total after the reply" round s.Server.streams_total;
+        check_int "words_in after the reply" total s.Server.words_in;
+        let reply = ctl_ask ctl "stats" in
+        if
+          not
+            (contains reply (Printf.sprintf "streams_total %d\n" round)
+            && contains reply (Printf.sprintf "words_in %d\n" total))
+        then Alcotest.failf "round %d: stats reply %S" round reply
+      done)
 
 (* A clean Mach stream ends with the UX server still blocked in
    receive, inside an open block: the parse pipeline must be told the
@@ -591,6 +619,8 @@ let tests =
       test_torn_frames_and_disconnects;
     Alcotest.test_case "control socket stats and shutdown" `Quick
       test_ctl_stats_shutdown;
+    Alcotest.test_case "stats count a stream once it is acknowledged" `Quick
+      test_stats_after_reply;
     Alcotest.test_case "parse pipeline: clean egrep/Mach stream" `Quick
       test_parse_pipeline_clean_mach;
   ]
