@@ -701,9 +701,11 @@ let exp_sweep () =
   let (swept, _, _), t_sweep_replay =
     timed (fun () -> replay_sweep ~system:run.system ~memsim_cfgs:cfgs words)
   in
-  (* spot-check the sweep against independent single-config replays on a
-     few grid points (the qcheck and validate suites prove the full
-     equivalence; this guards the numbers printed below) *)
+  (* spot-check the grid sweep against one-config sweeps ([replay]) on a
+     few grid points: a grid point must not depend on which other
+     configurations share its pass.  The qcheck and validate suites hold
+     the sweep to an independent single-configuration reference model;
+     this guards the numbers printed below *)
   List.iteri
     (fun i cfg ->
       if i mod (max 1 (k / 3)) = 0 then begin
@@ -771,7 +773,7 @@ let exp_store () =
       in
       let t_pack =
         best (fun () ->
-            Tracing.Tracefile.save ~compress:true ~version:3 path words)
+            Tracing.Tracefile.save ~compress:true path words)
       in
       let bytes =
         let ic = open_in_bin path in
@@ -897,7 +899,7 @@ let exp_serve () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Tracing.Tracefile.save ~compress:true ~version:3 path words;
+      Tracing.Tracefile.save ~compress:true path words;
       let cfg =
         {
           (Serve.Server.default_config Serve.Server.scan_pipeline) with

@@ -245,65 +245,19 @@ let capture_trace ?os ?seed ?config programs files : int array * traced_run =
   let run = run_traced ?os ?seed ?config ~sink programs files in
   (trace (), run)
 
-(** Build the {!replay} machinery — a fresh parser over [system]'s block
-    tables driving a fresh {!Tracesim.Memsim} — as a streaming sink, so
-    any chunk producer ([run_traced ~sink], {!Tracing.Tracefile.fold_words})
-    can feed it in bounded memory.  The sink's [finish] is a no-op: a
-    replay observes whatever prefix it is given (stored traces may lack
-    the liveness information [Parser.finish] needs).  Read the results
-    off the second component when done. *)
-let replay_sink ~(system : Systrace_kernel.Builder.t)
-    ~(memsim_cfg : Systrace_tracesim.Memsim.config) () :
-    Systrace_tracing.Sink.t
-    * (unit -> Systrace_tracesim.Memsim.stats * Systrace_tracing.Parser.stats)
-    =
-  let open Systrace_kernel in
-  let parser =
-    Systrace_tracing.Parser.create
-      ~kernel_bbs:(Option.get system.Builder.kernel_bbs) ()
-  in
-  List.iter
-    (fun (pi : Builder.proc_info) ->
-      Systrace_tracing.Parser.register_pid parser ~pid:pi.pid
-        (Option.get pi.bbs))
-    system.Builder.procs;
-  let sim = Systrace_tracesim.Memsim.create memsim_cfg in
-  Systrace_tracing.Parser.set_handlers parser
-    (Systrace_tracesim.Memsim.handlers sim);
-  ( Systrace_tracing.Sink.make (fun words ~len ->
-        Systrace_tracing.Parser.feed parser words ~len),
-    fun () ->
-      (Systrace_tracesim.Memsim.stats sim, Systrace_tracing.Parser.stats parser)
-  )
-
-(** Replay a captured trace through a fresh trace-driven memory-system
-    simulation (see {!Tracesim.Memsim}) — the mechanism behind the cache
-    and TLB studies the traces were built for. *)
-let replay ~(system : Systrace_kernel.Builder.t) ~(memsim_cfg : Systrace_tracesim.Memsim.config)
-    (words : int array) : Systrace_tracesim.Memsim.stats * Systrace_tracing.Parser.stats =
-  let sink, result = replay_sink ~system ~memsim_cfg () in
-  sink.Systrace_tracing.Sink.on_words words ~len:(Array.length words);
-  result ()
-
-(** {!replay} straight off a stored trace file: the words stream from
-    disk through {!Tracing.Tracefile.fold_words} into the simulation
-    chunk by chunk, so a trace much larger than memory replays in
-    O(chunk) space.
-    @raise Tracing.Tracefile.Bad_file as [fold_words]. *)
-let replay_file ~(system : Systrace_kernel.Builder.t)
-    ~(memsim_cfg : Systrace_tracesim.Memsim.config) path :
-    Systrace_tracesim.Memsim.stats * Systrace_tracing.Parser.stats =
-  let sink, result = replay_sink ~system ~memsim_cfg () in
-  Systrace_tracing.Tracefile.fold_words path ~init:() ~f:(fun () words ~len ->
-      sink.Systrace_tracing.Sink.on_words words ~len);
-  result ()
-
-(** Multi-configuration {!replay_sink}: one parser pass drives a
-    {!Tracesim.Memsim.sweep} over every configuration at once, so
-    replaying a trace through K memory systems costs roughly one replay,
-    not K (geometry and TLB state that can be shared or nested is).
-    Results come back in [memsim_cfgs] order, byte-identical to K
-    separate {!replay_sink} runs. *)
+(** Build the replay machinery — a fresh parser over [system]'s block
+    tables driving a fresh {!Tracesim.Memsim.sweep} over every
+    configuration in [memsim_cfgs] — as a streaming sink, so any chunk
+    producer ([run_traced ~sink], {!Tracing.Tracefile.fold_words}) can
+    feed it in bounded memory.  One parser pass serves all the
+    configurations, so replaying a trace through K memory systems costs
+    roughly one replay, not K (geometry and TLB state that can be shared
+    or nested is).  The sink's [finish] is a no-op: a replay observes
+    whatever prefix it is given (stored traces may lack the liveness
+    information [Parser.finish] needs).  Read the results off the second
+    component when done: per-configuration stats and (icache,
+    dcache-read) access counts — the miss-ratio denominators — in
+    [memsim_cfgs] order, plus the shared parse stats. *)
 let replay_sweep_sink ~(system : Systrace_kernel.Builder.t)
     ~(memsim_cfgs : Systrace_tracesim.Memsim.config list) () :
     Systrace_tracing.Sink.t
@@ -331,10 +285,7 @@ let replay_sweep_sink ~(system : Systrace_kernel.Builder.t)
         Systrace_tracesim.Memsim.sweep_accesses sw,
         Systrace_tracing.Parser.stats parser ) )
 
-(** {!replay} across many configurations in one pass.  Returns, in
-    [memsim_cfgs] order, each configuration's stats and its
-    (icache, dcache-read) access counts — the miss-ratio denominators —
-    plus the shared parse stats. *)
+(** {!replay_sweep_sink} over a whole captured trace in memory. *)
 let replay_sweep ~(system : Systrace_kernel.Builder.t)
     ~(memsim_cfgs : Systrace_tracesim.Memsim.config list) (words : int array) :
     Systrace_tracesim.Memsim.stats array
@@ -344,14 +295,17 @@ let replay_sweep ~(system : Systrace_kernel.Builder.t)
   sink.Systrace_tracing.Sink.on_words words ~len:(Array.length words);
   result ()
 
-(** {!replay_file} across many configurations in one pass: the stored
-    trace streams from disk once, in O(chunk) space, whatever the number
-    of configurations.  With [?jobs], a version-3 trace's blocks are
-    decoded concurrently on the domain pool
-    ({!Tracing.Tracefile.fold_blocks_parallel}); the simulation itself
-    still runs on the calling domain in stream order, so results are
-    identical to the sequential read — decode just stops being the
-    bottleneck.  Other formats fall back to the sequential reader. *)
+(** {!replay_sweep} straight off a stored trace file: the words stream
+    from disk through {!Tracing.Tracefile.fold_words} into the
+    simulation chunk by chunk, so a trace much larger than memory
+    replays in O(chunk) space, whatever the number of configurations.
+    With [?jobs], a version-3 trace's blocks are decoded concurrently on
+    the domain pool ({!Tracing.Tracefile.fold_blocks_parallel}); the
+    simulation itself still runs on the calling domain in stream order,
+    so results are identical to the sequential read — decode just stops
+    being the bottleneck.  Other formats fall back to the sequential
+    reader.
+    @raise Tracing.Tracefile.Bad_file as [fold_words]. *)
 let replay_sweep_file ?jobs ~(system : Systrace_kernel.Builder.t)
     ~(memsim_cfgs : Systrace_tracesim.Memsim.config list) path :
     Systrace_tracesim.Memsim.stats array
@@ -366,6 +320,36 @@ let replay_sweep_file ?jobs ~(system : Systrace_kernel.Builder.t)
     Systrace_tracing.Tracefile.fold_words path ~init:()
       ~f:(fun () words ~len -> sink.Systrace_tracing.Sink.on_words words ~len));
   result ()
+
+(** {!replay_sweep_sink} for one configuration — the mechanism behind
+    the cache and TLB studies the traces were built for. *)
+let replay_sink ~(system : Systrace_kernel.Builder.t)
+    ~(memsim_cfg : Systrace_tracesim.Memsim.config) () :
+    Systrace_tracing.Sink.t
+    * (unit -> Systrace_tracesim.Memsim.stats * Systrace_tracing.Parser.stats)
+    =
+  let sink, result = replay_sweep_sink ~system ~memsim_cfgs:[ memsim_cfg ] () in
+  ( sink,
+    fun () ->
+      let stats, _, parse = result () in
+      (stats.(0), parse) )
+
+(** Replay a captured trace through a fresh trace-driven memory-system
+    simulation (see {!Tracesim.Memsim}): {!replay_sweep} of one
+    configuration. *)
+let replay ~(system : Systrace_kernel.Builder.t) ~(memsim_cfg : Systrace_tracesim.Memsim.config)
+    (words : int array) : Systrace_tracesim.Memsim.stats * Systrace_tracing.Parser.stats =
+  let stats, _, parse = replay_sweep ~system ~memsim_cfgs:[ memsim_cfg ] words in
+  (stats.(0), parse)
+
+(** {!replay} straight off a stored trace file, in O(chunk) space:
+    {!replay_sweep_file} of one configuration.
+    @raise Tracing.Tracefile.Bad_file as [fold_words]. *)
+let replay_file ~(system : Systrace_kernel.Builder.t)
+    ~(memsim_cfg : Systrace_tracesim.Memsim.config) path :
+    Systrace_tracesim.Memsim.stats * Systrace_tracing.Parser.stats =
+  let stats, _, parse = replay_sweep_file ~system ~memsim_cfgs:[ memsim_cfg ] path in
+  (stats.(0), parse)
 
 (** The memory-system configuration of the simulated DECstation, for
     {!replay} studies that vary one parameter at a time. *)

@@ -60,215 +60,28 @@ type stats = {
   mutable unmapped : int;
 }
 
-type t = {
-  cfg : config;
-  (* the associative model; 1-way is qcheck-proven identical to a
-     direct-mapped cache, the DECstation's organization *)
-  icache : Sim_cache_assoc.t;
-  dcache : Sim_cache_assoc.t;
-  tlb : Sim_tlb.t;
-  wb : Sim_wb.t;
-  s : stats;
-}
-
-let create cfg =
-  {
-    cfg;
-    icache =
-      Sim_cache_assoc.create ~size_bytes:cfg.icache_bytes
-        ~line_bytes:cfg.icache_line ~ways:cfg.icache_ways ();
-    dcache =
-      Sim_cache_assoc.create ~size_bytes:cfg.dcache_bytes
-        ~line_bytes:cfg.dcache_line ~ways:cfg.dcache_ways ();
-    tlb = Sim_tlb.create ~size:cfg.tlb_entries ();
-    wb = Sim_wb.create ~depth:cfg.wb_depth ~drain_cycles:cfg.wb_drain ();
-    s =
-      {
-        insts = 0;
-        datas = 0;
-        kernel_insts = 0;
-        user_insts = 0;
-        kernel_stall = 0;
-        user_stall = 0;
-        synth_insts = 0;
-        icache_misses = 0;
-        dcache_read_misses = 0;
-        uncached_reads = 0;
-        uncached_writes = 0;
-        wb_stalls = 0;
-        utlb_misses = 0;
-        ktlb_misses = 0;
-        unmapped = 0;
-      };
-  }
-
-let stats t = t.s
-
 let kuseg_limit = 0x80000000
 let kseg1_base = 0xA0000000
 let kseg2_base = 0xC0000000
 
 let asid_of_pid pid = pid + 1
 
-let translate t ~pid va =
-  let pa = t.cfg.pagemap pid va in
-  if pa >= 0 then pa
-  else begin
-    t.s.unmapped <- t.s.unmapped + 1;
-    va land 0x00FFFFFF
-  end
-
-(* Synthesize the KTLB refill fast path: ifetches at the general vector
-   plus the root-table load (kseg0: cached). *)
-let synth_ktlb t =
-  t.s.ktlb_misses <- t.s.ktlb_misses + 1;
-  for k = 0 to t.cfg.ktlb_handler_insns - 1 do
-    t.s.synth_insts <- t.s.synth_insts + 1;
-    Sim_wb.tick t.wb 1;
-    if not (Sim_cache_assoc.read t.icache (0x80 + (k * 4))) then begin
-      t.s.icache_misses <- t.s.icache_misses + 1;
-      Sim_wb.tick t.wb t.cfg.read_miss_penalty
-    end
-  done;
-  (* root-table load (kernel data, kseg0-resident; approximate with a
-     fixed address) *)
-  Sim_wb.tick t.wb 1;
-  if not (Sim_cache_assoc.read t.dcache 0x9000) then begin
-    t.s.dcache_read_misses <- t.s.dcache_read_misses + 1;
-    Sim_wb.tick t.wb t.cfg.read_miss_penalty
-  end
-
-(* kseg2 access (page-table pages): through the TLB as a global mapping. *)
-let kseg2_access t ~pid ~is_load va =
-  let vpn = va lsr 12 in
-  if not (Sim_tlb.access t.tlb ~vpn ~asid:0 ~global:true ~user:false) then
-    synth_ktlb t;
-  let pa = translate t ~pid va in
-  if is_load then begin
-    if not (Sim_cache_assoc.read t.dcache pa) then begin
-      t.s.dcache_read_misses <- t.s.dcache_read_misses + 1;
-      Sim_wb.tick t.wb t.cfg.read_miss_penalty
-    end
-  end
-  else begin
-    (* write-through/no-allocate: the returned hit/miss only moves the
-       cache's own write counters, which a qcheck property ties to it *)
-    let (_hit : bool) = Sim_cache_assoc.write t.dcache pa in
-    t.s.wb_stalls <- t.s.wb_stalls + Sim_wb.store t.wb
-  end
-
-(* Synthesize the UTLB refill handler: its ifetches at the UTLB vector and
-   its PTE load from the faulting process's linear page table in kseg2
-   (which can itself take a KTLB miss). *)
-let synth_utlb t ~pid ~vpn =
-  t.s.utlb_misses <- t.s.utlb_misses + 1;
-  for k = 0 to t.cfg.utlb_handler_insns - 1 do
-    t.s.synth_insts <- t.s.synth_insts + 1;
-    Sim_wb.tick t.wb 1;
-    if not (Sim_cache_assoc.read t.icache (k * 4)) then begin
-      t.s.icache_misses <- t.s.icache_misses + 1;
-      Sim_wb.tick t.wb t.cfg.read_miss_penalty
-    end
-  done;
-  let pte_va = t.cfg.pt_base pid + (vpn * 4) in
-  kseg2_access t ~pid ~is_load:true pte_va
-
-(* Map a virtual reference to a physical one, charging TLB behaviour:
-   the cached physical address, or [uncached] (-1) for kseg1. *)
-let uncached = -1
-
-let to_phys t ~pid va =
-  if va < kuseg_limit then begin
-    let vpn = va lsr 12 in
-    if
-      not
-        (Sim_tlb.access t.tlb ~vpn ~asid:(asid_of_pid pid) ~global:false
-           ~user:true)
-    then synth_utlb t ~pid ~vpn;
-    translate t ~pid va
-  end
-  else if va < kseg1_base then va - 0x80000000
-  else if va < kseg2_base then uncached
-  else begin
-    let vpn = va lsr 12 in
-    if not (Sim_tlb.access t.tlb ~vpn ~asid:0 ~global:true ~user:false) then
-      synth_ktlb t;
-    translate t ~pid va
-  end
-
-let charge t ~kernel stall =
-  if kernel then t.s.kernel_stall <- t.s.kernel_stall + stall
-  else t.s.user_stall <- t.s.user_stall + stall
-
-let on_inst t addr pid kernel =
-  t.s.insts <- t.s.insts + 1;
-  if kernel then t.s.kernel_insts <- t.s.kernel_insts + 1
-  else t.s.user_insts <- t.s.user_insts + 1;
-  Sim_wb.tick t.wb 1;
-  let pa = to_phys t ~pid addr in
-  if pa <> uncached then begin
-    if not (Sim_cache_assoc.read t.icache pa) then begin
-      t.s.icache_misses <- t.s.icache_misses + 1;
-      charge t ~kernel t.cfg.read_miss_penalty;
-      Sim_wb.tick t.wb t.cfg.read_miss_penalty
-    end
-  end
-  else begin
-    t.s.uncached_reads <- t.s.uncached_reads + 1;
-    charge t ~kernel t.cfg.uncached_penalty;
-    Sim_wb.tick t.wb t.cfg.uncached_penalty
-  end
-
-let on_data t addr pid kernel is_load _bytes =
-  t.s.datas <- t.s.datas + 1;
-  let pa = to_phys t ~pid addr in
-  if pa <> uncached then begin
-    if is_load then begin
-      if not (Sim_cache_assoc.read t.dcache pa) then begin
-        t.s.dcache_read_misses <- t.s.dcache_read_misses + 1;
-        charge t ~kernel t.cfg.read_miss_penalty;
-        Sim_wb.tick t.wb t.cfg.read_miss_penalty
-      end
-    end
-    else begin
-      let (_hit : bool) = Sim_cache_assoc.write t.dcache pa in
-      let stall = Sim_wb.store t.wb in
-      charge t ~kernel stall;
-      t.s.wb_stalls <- t.s.wb_stalls + stall
-    end
-  end
-  else begin
-    charge t ~kernel t.cfg.uncached_penalty;
-    if is_load then begin
-      t.s.uncached_reads <- t.s.uncached_reads + 1;
-      Sim_wb.tick t.wb t.cfg.uncached_penalty
-    end
-    else begin
-      t.s.uncached_writes <- t.s.uncached_writes + 1;
-      Sim_wb.tick t.wb t.cfg.uncached_penalty
-    end
-  end
-
-let handlers t : Parser.handlers =
-  {
-    Parser.on_inst = (fun addr pid kernel -> on_inst t addr pid kernel);
-    on_data =
-      (fun addr pid kernel is_load bytes ->
-        on_data t addr pid kernel is_load bytes);
-  }
-
-let sink ?live t parser : Sink.t =
-  Parser.set_handlers parser (handlers t);
-  Sink.to_parser ?live parser
-
 (* ================================================================== *)
-(* Single-pass multi-configuration sweep.
+(* The simulator: a single-pass multi-configuration sweep.  One
+   configuration is a one-element sweep.
 
-   Evaluating K configurations by K independent replays decodes and
-   translates the same trace K times; this sink does the shared work once
-   per reference and keeps only the per-configuration state that actually
-   differs.  The decomposition follows the dependence structure of the
-   single-configuration simulator above:
+   Per configuration, the model is an eager one: every reference (trace
+   or synthesized) ticks a write-buffer clock by one cycle; a kuseg
+   reference goes through the TLB with the process's ASID and a kseg2
+   reference as a global mapping; a TLB miss synthesizes its refill
+   handler's ifetches and its page-table load (see [g_synth_utlb] and
+   [g_synth_ktlb] below); kseg0 bypasses the TLB, kseg1 is uncached;
+   cache read misses and uncached references stall the clock by their
+   penalty, and a store stalls it until the buffer has a free slot.
+   Evaluating K such configurations by K independent replays decodes
+   and translates the same trace K times; the sweep does the shared work
+   once per reference and keeps only the per-configuration state that
+   actually differs:
 
    - Reference classification (kuseg/kseg0/kseg1/kseg2), the page-map
      lookup and the per-mode instruction counts depend only on the trace:
@@ -293,12 +106,13 @@ let sink ?live t parser : Sink.t =
      ({!Sim_wb.ring_store}).
 
    Per-configuration [stats] are assembled at the end as arithmetic over
-   the unit counters; a qcheck property in the test suite holds them
-   byte-identical to K independent {!create}/{!sink} runs. *)
+   the unit counters; qcheck properties in the test suite hold them
+   byte-identical to an eagerly-ticked single-configuration reference
+   model run once per configuration. *)
 
-(* miss counters split by what the single-config simulator would have
-   charged: synthesized-handler references are never charged to
-   kernel/user stall, trace references are charged by mode *)
+(* miss counters split by how the eager model charges them:
+   synthesized-handler references are never charged to kernel/user
+   stall, trace references are charged by mode *)
 type miss_ctr = {
   mutable c_synth : int;
   mutable c_kernel : int;
@@ -509,9 +323,13 @@ let g_phys g va pa =
 
 let g_translate sw g pid va = g_phys g va (sw.sw_pagemap pid va)
 
-(* the synthesized handler paths, exactly mirroring [synth_ktlb],
-   [kseg2_access ~is_load:true] and [synth_utlb] above, minus the eager
-   write-buffer ticks (derived from these same counters at store time) *)
+(* the synthesized handler paths: a KTLB refill fetches
+   [ktlb_handler_insns] instructions at the general vector (0x80) and
+   loads the root table (kernel data at a fixed kseg0 address, 0x9000);
+   a UTLB refill fetches [utlb_handler_insns] at the UTLB vector (0) and
+   loads the faulting page's PTE from the process's linear page table in
+   kseg2, which can itself KTLB-miss.  No write-buffer tick happens here:
+   the clock is derived from these same counters at store time *)
 let g_synth_ktlb g =
   g.gr_ktlb <- g.gr_ktlb + 1;
   for k = 0 to g.gr_ktlb_insns - 1 do
@@ -535,7 +353,7 @@ let g_synth_utlb sw g pid vpn =
   done;
   g_kseg2_load sw g pid (sw.sw_pt_base pid + (vpn * 4))
 
-(* A lane's write-buffer clock, derived on demand.  The eager simulator
+(* A lane's write-buffer clock, derived on demand.  The eager model
    ticks 1 per instruction (trace and synthesized, plus one extra before
    each KTLB root-table load), the uncached penalty per uncached event,
    and the read-miss penalty per cache read miss; stalls advance the

@@ -48,24 +48,7 @@ type stats = {
   mutable unmapped : int;
 }
 
-type t
-
-val create : config -> t
-val stats : t -> stats
-
-val on_inst : t -> int -> int -> bool -> unit
-val on_data : t -> int -> int -> bool -> bool -> int -> unit
-
-val handlers : t -> Systrace_tracing.Parser.handlers
-(** Plug directly into the trace parser. *)
-
-val sink : ?live:int list -> t -> Systrace_tracing.Parser.t -> Systrace_tracing.Sink.t
-(** [sink t parser] attaches {!handlers} to [parser] and wraps it as a
-    streaming word consumer ([Sink.to_parser ?live]): feed it raw trace
-    chunks and the simulation runs online, during generation — peak
-    resident words stay O(chunk) instead of O(trace). *)
-
-(** {2 Single-pass multi-configuration sweep}
+(** {2 The simulator: a single-pass multi-configuration sweep}
 
     [sweep cfgs] evaluates every configuration in one trace pass: word
     decode, reference classification and page-map translation happen once
@@ -73,10 +56,12 @@ val sink : ?live:int list -> t -> Systrace_tracing.Parser.t -> Systrace_tracing.
     and one synthesized-handler stream; within such a group, the icache
     and dcache geometries that share a line size and a set count form a
     family simulated by one level-tagged LRU stack ({!Sim_stack}), one
-    state update per reference for all its associativities.
+    state update per reference for all its associativities.  One
+    configuration is a one-element sweep ([sweep [cfg]]).
     [sweep_stats] returns, per configuration and in list order,
-    {b byte-identical} stats to an independent {!create}/{!sink} run over
-    the same trace (qcheck properties in the test suite enforce this). *)
+    {b byte-identical} stats to an eagerly-ticked single-configuration
+    model of that configuration over the same trace (qcheck properties
+    in the test suite hold the sweep to such a reference model). *)
 
 type sweep
 
@@ -100,8 +85,11 @@ val sweep_handlers : sweep -> Systrace_tracing.Parser.handlers
 
 val sweep_sink :
   ?live:int list -> sweep -> Systrace_tracing.Parser.t -> Systrace_tracing.Sink.t
-(** Streaming multi-configuration consumer; the sweep analogue of
-    {!sink}. *)
+(** [sweep_sink sw parser] attaches {!sweep_handlers} to [parser] and
+    wraps it as a streaming word consumer ([Sink.to_parser ?live]): feed
+    it raw trace chunks and the simulation runs online, during
+    generation — peak resident words stay O(chunk) instead of
+    O(trace). *)
 
 val grid :
   ?nested:bool ->

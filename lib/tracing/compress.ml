@@ -45,13 +45,11 @@ let put_varint buf v =
 
 exception Corrupt of string
 
-(* Incremental encoder.  The streaming pipeline (Tracefile.open_writer,
-   Sink.to_file) hands the codec one ANALYZE chunk at a time; the run
-   state carried across calls is exactly the state the batch encoder
-   keeps between tokens — the previous raw word plus the pending
-   maximal-delta run — so the emitted bytes are identical no matter how
-   the words were split into chunks.  [encode] below is a thin wrapper,
-   keeping a single code path. *)
+(* The one delta/varint encoder, incremental: callers may hand it a
+   stream one chunk at a time.  The state carried across calls is the
+   previous raw word plus the pending maximal-delta run, so the emitted
+   bytes are identical no matter how the words were split into chunks.
+   [encode] below is the whole-array wrapper. *)
 
 type encoder = {
   mutable e_prev : int;  (* last raw word seen *)
@@ -86,50 +84,13 @@ let encode_chunk e buf (words : int array) ~len =
 
 let encode_finish = encoder_flush
 
-(* Batch encode writes through a fixed Bytes cursor instead of a Buffer:
-   a single token covers at least one word and is at most 5 varint bytes
-   (zigzag of a 33-bit magnitude, doubled), and a run token's two varints
-   amortize over >= 2 words, so [5 * n + 16] bytes never overflow.  The
-   token stream is the incremental encoder's exactly — a qcheck property
-   holds the two paths byte-identical under arbitrary chunking. *)
 let encode (words : int array) : string =
   let n = Array.length words in
-  let out = Bytes.create ((n * 5) + 16) in
-  let o = ref 0 in
-  let put_varint v =
-    let v = ref v in
-    while !v >= 0x80 do
-      Bytes.unsafe_set out !o (Char.unsafe_chr (0x80 lor (!v land 0x7F)));
-      incr o;
-      v := !v lsr 7
-    done;
-    Bytes.unsafe_set out !o (Char.unsafe_chr !v);
-    incr o
-  in
-  let prev = ref 0 and delta = ref 0 and count = ref 0 in
-  let flush () =
-    if !count > 0 then begin
-      if !count > 1 then begin
-        put_varint ((zigzag !delta lsl 1) lor 1);
-        put_varint (!count - 1)
-      end
-      else put_varint (zigzag !delta lsl 1);
-      count := 0
-    end
-  in
-  for k = 0 to n - 1 do
-    let w = Array.unsafe_get words k in
-    let d = delta32 w !prev in
-    prev := w;
-    if !count > 0 && d = !delta then incr count
-    else begin
-      flush ();
-      delta := d;
-      count := 1
-    end
-  done;
-  flush ();
-  Bytes.sub_string out 0 !o
+  let buf = Buffer.create ((n * 2) + 16) in
+  let e = encoder () in
+  encode_chunk e buf words ~len:n;
+  encode_finish e buf;
+  Buffer.contents buf
 
 (* Without this bound a hostile run-length token could claim a
    multi-billion-word run and exhaust memory before any structural check
@@ -242,8 +203,8 @@ let decode ?expect (s : string) : int array =
    may self-overlap, RLE-style).  A distance of 0 is a padding item the
    decoder skips: the packer fills the final group with them so every
    complete stream is group-aligned — which makes the concatenation of
-   complete streams itself a valid stream, the property the block-
-   flushing {!Tracefile} writer relies on. *)
+   complete streams itself a valid stream, the property version-2
+   {!Tracefile} files written in ~1 MB LZSS blocks rely on. *)
 
 let lz_min_match = 4
 let lz_max_match = 259

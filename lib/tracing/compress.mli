@@ -4,17 +4,19 @@
     fixed strides), so each word is stored as a zigzag-varint delta from
     its predecessor, with a run-length extension for repeated strides.
 
-    Used by {!Tracefile} (format version 2) and by the [dump -z] CLI
-    command; the [compression] bench experiment measures the density win
-    over the raw one-word format (paper §3.5: "the trace takes less space
-    and less time to write"). *)
+    Used by {!Tracefile}: the delta/varint stage is one of the version-3
+    block codecs, and both stages make up the payload of the legacy
+    version-2 files the reader still loads.  The [compression] bench
+    experiment measures the density win over the raw one-word format
+    (paper §3.5: "the trace takes less space and less time to write"). *)
 
 exception Corrupt of string
 (** Raised by {!decode} on malformed input (truncated or oversized
     varints, word-count mismatch). *)
 
 val encode : int array -> string
-(** Delta/varint stage alone. Total; never raises. *)
+(** Delta/varint stage alone: {!encoder}, one {!encode_chunk},
+    {!encode_finish}.  Total; never raises. *)
 
 val decode : ?expect:int -> string -> int array
 (** Inverse of {!encode}: [decode (encode w) = w] for all [w].
@@ -39,8 +41,8 @@ val lzss_unpack : ?limit:int -> string -> string
     [limit]. *)
 
 val pack : int array -> string
-(** Both stages: [lzss_pack (encode words)] — the {!Tracefile} v2
-    payload. *)
+(** Both stages: [lzss_pack (encode words)] — the payload of a
+    version-2 {!Tracefile}. *)
 
 val unpack : ?expect:int -> string -> int array
 (** Inverse of {!pack}.  With [?expect], both stages are bounded by the
@@ -99,8 +101,8 @@ val crc32_update : int -> string -> pos:int -> len:int -> int
 
     The streaming trace pipeline ({!Tracefile.open_writer},
     {!Tracefile.fold_words}, [Sink.to_file]) never holds a whole trace;
-    these carry the codec state across chunk boundaries.  The batch
-    entry points above are thin wrappers over them, so chunked and
+    these carry the codec state across chunk boundaries.  {!encode}
+    and {!decode} above are thin wrappers over them, so chunked and
     whole-array use share one code path: feeding the same words in any
     chunking produces byte-identical output (qcheck-enforced). *)
 

@@ -20,6 +20,8 @@
                 index bytes, "SIDX").
    [load] dispatches on the version, so consumers never care which way a
    trace was dumped; v1/v2 files keep loading byte-identically forever.
+   The writer produces v1 (uncompressed) and v3 (compressed); v2 is read
+   only.
 
    Version 3 exists because v2 is decode-forward-only: one sequential
    decoder, no seeking, and a single shared predictor chain from the
@@ -40,10 +42,10 @@
    CRC-checked and every entry validated (offsets contiguous from the
    first block to the trailer, word offsets strictly increasing, codecs
    known) before a single block is read, and each block's own CRC is
-   checked before it is decoded.  [save] refuses words outside the
-   32-bit trace-word range instead of silently truncating them through
-   [Int32.of_int], so a corrupted in-memory buffer cannot round-trip
-   into a "valid" trace file. *)
+   checked before it is decoded.  [save] and [write] refuse words
+   outside the 32-bit trace-word range instead of silently truncating
+   them through [Int32.of_int], so a corrupted in-memory buffer cannot
+   round-trip into a "valid" trace file. *)
 
 let magic = "STRC"
 let index_magic = "SIDX"
@@ -229,82 +231,23 @@ let v3_read_block ic entries ~n ~path k =
   with Compress.Corrupt msg -> bad "block %d: %s" k msg
 
 (* ------------------------------------------------------------------ *)
-(* Whole-array interfaces                                              *)
+(* The writer.
 
-let check_save_words (words : int array) =
-  Array.iteri
-    (fun i w ->
-      if w < 0 || w > 0xFFFFFFFF then
-        invalid_arg
-          (Printf.sprintf
-             "Tracefile.save: word %d (0x%x) outside the 32-bit trace-word \
-              range"
-             i w))
-    words
-
-let save_v1 path (words : int array) =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      let hdr = Bytes.create 8 in
-      Bytes.set_int32_le hdr 0 1l;
-      Bytes.set_int32_le hdr 4 (Int32.of_int (Array.length words));
-      output_bytes oc hdr;
-      let buf = Bytes.create (Array.length words * 4) in
-      Array.iteri
-        (fun i w -> Bytes.set_int32_le buf (i * 4) (Int32.of_int w))
-        words;
-      output_bytes oc buf)
-
-let save_v2 path (words : int array) =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      let payload = Compress.pack words in
-      let hdr = Bytes.create 12 in
-      Bytes.set_int32_le hdr 0 2l;
-      Bytes.set_int32_le hdr 4 (Int32.of_int (Array.length words));
-      Bytes.set_int32_le hdr 8 (Int32.of_int (String.length payload));
-      output_bytes oc hdr;
-      output_string oc payload)
-
-(* ------------------------------------------------------------------ *)
-(* Streaming writer.
-
-   [save]/[load] materialize the whole word array; the streaming
-   pipeline must not.  The writer accepts ANALYZE-phase chunks as they
-   arrive and patches the header counts on close; peak memory is
-   O(block), not O(trace).
-
-   The version-2 writer cannot hold the whole delta stream either, so it
-   LZSS-packs it in ~1 MB blocks.  The concatenation of complete LZSS
-   streams is itself a valid LZSS stream: the packer pads each stream's
-   final control-byte group to a full 8 items (so the next block's first
-   byte is read as a fresh control byte, never as a leftover item), and
-   match distances are relative — each block's matches only reach into
-   that block's own plaintext, which sits at the same relative offset in
-   the concatenation.  So [load] and [fold_words] read block-flushed
-   files with the same decoder, and files whose delta stream fits one
-   block are byte-for-byte what [save ~compress:true ~version:2] writes.
-
-   The version-3 writer buffers words (not bytes): every
+   One write path for every format written: [save] is [open_writer] +
+   one [write] + [close_writer].  The writer accepts ANALYZE-phase
+   chunks as they arrive and patches the header counts on close; peak
+   memory is O(block), not O(trace).  Version 1 appends raw words as
+   they come.  Version 3 buffers words (not bytes): every
    [v3_block_words] it packs a self-contained block, appends it to the
    file and its entry to the in-memory index, which [close_writer]
    writes as the trailer.  Block boundaries depend only on the word
-   stream, never on how calls chunked it, so the streamed file is
-   byte-identical to [save] of the concatenation — for any chunking,
-   not just single-block files. *)
+   stream, never on how calls chunked it, so a chunked write is
+   byte-identical to [save] of the concatenation.  Version 2 is read
+   only: v3 replaced it, and the readers keep loading old v2 files. *)
 
 type writer = {
   w_oc : out_channel;
-  w_version : int;  (* 1, 2 or 3 *)
-  (* v2 state *)
-  w_enc : Compress.encoder;
-  w_pend : Buffer.t;  (* delta bytes awaiting an LZSS block flush *)
+  w_version : int;  (* 1 or 3 *)
   (* v3 state *)
   w_block : int array;  (* words awaiting a block flush *)
   mutable w_fill : int;
@@ -316,40 +259,25 @@ type writer = {
   mutable w_closed : bool;
 }
 
-let writer_block_bytes = 1 lsl 20
-
-let open_writer ?(compress = false) ?(version = 3) path =
-  if compress && version <> 2 && version <> 3 then
-    invalid_arg
-      (Printf.sprintf "Tracefile.open_writer: unsupported version %d" version);
-  let version = if compress then version else 1 in
+let open_writer ?(compress = false) path =
+  let version = if compress then 3 else 1 in
   let oc = open_out_bin path in
   output_string oc magic;
-  (* word count (and v2/v3 payload size) are patched by [close_writer] *)
+  (* word count (and v3 payload size) are patched by [close_writer] *)
   let hdr = Bytes.make (if compress then 12 else 8) '\000' in
   Bytes.set_int32_le hdr 0 (Int32.of_int version);
   output_bytes oc hdr;
   {
     w_oc = oc;
     w_version = version;
-    w_enc = Compress.encoder ();
-    w_pend = Buffer.create (if version = 2 then 65536 else 16);
-    w_block = (if version = 3 then Array.make v3_block_words 0 else [||]);
+    w_block = (if compress then Array.make v3_block_words 0 else [||]);
     w_fill = 0;
-    w_index = Buffer.create (if version = 3 then 1024 else 16);
+    w_index = Buffer.create (if compress then 1024 else 16);
     w_nblocks = 0;
     w_payload = 0;
     w_words = 0;
     w_closed = false;
   }
-
-let writer_flush_v2 w =
-  if Buffer.length w.w_pend > 0 then begin
-    let z = Compress.lzss_pack (Buffer.contents w.w_pend) in
-    Buffer.clear w.w_pend;
-    output_string w.w_oc z;
-    w.w_payload <- w.w_payload + String.length z
-  end
 
 let writer_flush_v3 w =
   if w.w_fill > 0 then begin
@@ -369,8 +297,9 @@ let writer_flush_v3 w =
     w.w_payload <- w.w_payload + String.length z
   end
 
-let write w (words : int array) ~len =
-  if w.w_closed then invalid_arg "Tracefile.write: writer is closed";
+(* Reject words outside the 32-bit trace-word range, naming the first by
+   its stream index ([first] + position), and a stream past the cap. *)
+let check_words ~first (words : int array) ~len =
   for i = 0 to len - 1 do
     let v = words.(i) in
     if v < 0 || v > 0xFFFFFFFF then
@@ -378,17 +307,17 @@ let write w (words : int array) ~len =
         (Printf.sprintf
            "Tracefile.write: word %d (0x%x) outside the 32-bit trace-word \
             range"
-           (w.w_words + i) v)
+           (first + i) v)
   done;
-  if w.w_words + len > max_words then
+  if first + len > max_words then
     invalid_arg
       (Printf.sprintf "Tracefile.write: trace exceeds the %d-word cap"
-         max_words);
-  (match w.w_version with
-  | 2 ->
-    Compress.encode_chunk w.w_enc w.w_pend words ~len;
-    if Buffer.length w.w_pend >= writer_block_bytes then writer_flush_v2 w
-  | 3 ->
+         max_words)
+
+let write w (words : int array) ~len =
+  if w.w_closed then invalid_arg "Tracefile.write: writer is closed";
+  check_words ~first:w.w_words words ~len;
+  if w.w_version = 3 then begin
     (* fill the pending block; flush whenever it reaches the block size,
        so boundaries depend only on the word stream *)
     let pos = ref 0 in
@@ -400,13 +329,15 @@ let write w (words : int array) ~len =
       pos := !pos + k;
       if w.w_fill = v3_block_words then writer_flush_v3 w
     done
-  | _ ->
+  end
+  else begin
     let buf = Bytes.create (len * 4) in
     for i = 0 to len - 1 do
       Bytes.set_int32_le buf (i * 4) (Int32.of_int words.(i))
     done;
-    output_bytes w.w_oc buf);
-  if w.w_version <> 3 then w.w_words <- w.w_words + len
+    output_bytes w.w_oc buf;
+    w.w_words <- w.w_words + len
+  end
 
 let close_writer w =
   if not w.w_closed then begin
@@ -414,11 +345,7 @@ let close_writer w =
     Fun.protect
       ~finally:(fun () -> close_out w.w_oc)
       (fun () ->
-        (match w.w_version with
-        | 2 ->
-          Compress.encode_finish w.w_enc w.w_pend;
-          writer_flush_v2 w
-        | 3 ->
+        if w.w_version = 3 then begin
           writer_flush_v3 w;
           (* trailer: index entries, then block count + index CRC + magic
              — so an empty trace is a header plus an empty trailer, and
@@ -430,7 +357,7 @@ let close_writer w =
           Bytes.set_int32_le fb 4 (Int32.of_int (Compress.crc32 ib));
           Bytes.blit_string index_magic 0 fb 8 4;
           output_bytes w.w_oc fb
-        | _ -> ());
+        end;
         seek_out w.w_oc 8;
         let tl = Bytes.create (if w.w_version = 1 then 4 else 8) in
         Bytes.set_int32_le tl 0 (Int32.of_int w.w_words);
@@ -440,23 +367,14 @@ let close_writer w =
   end;
   w.w_words
 
-let save ?(compress = false) ?(version = 3) path (words : int array) =
-  check_save_words words;
-  if not compress then save_v1 path words
-  else
-    match version with
-    | 2 -> save_v2 path words
-    | 3 ->
-      (* route through the streaming writer: one code path, and the
-         byte-identity of save and chunked writes is true by
-         construction *)
-      let w = open_writer ~compress:true ~version:3 path in
-      Fun.protect
-        ~finally:(fun () -> ignore (close_writer w : int))
-        (fun () -> write w words ~len:(Array.length words))
-    | v ->
-      invalid_arg
-        (Printf.sprintf "Tracefile.save: unsupported version %d" v)
+let save ?compress path (words : int array) =
+  (* checked before the file is opened, so a bad word leaves whatever
+     is at [path] untouched *)
+  check_words ~first:0 words ~len:(Array.length words);
+  let w = open_writer ?compress path in
+  Fun.protect
+    ~finally:(fun () -> ignore (close_writer w : int))
+    (fun () -> write w words ~len:(Array.length words))
 
 (* ------------------------------------------------------------------ *)
 (* Readers                                                             *)
@@ -594,7 +512,9 @@ let fold_words ?(chunk_words = 65536) ?(from = 0) ?until path ~init ~f =
             bad "truncated: header claims %d payload bytes, file holds %d" len
               (file_len - 16);
           (* forward-only stream: decode from the start, emit only the
-             window, stop once [until] words have been seen *)
+             window, stop once [until] words have been seen — unless the
+             window runs to the end, which decodes the whole stream so
+             its end-of-stream checks run, as in [load] *)
           let chunk = Array.make chunk_words 0 in
           let fill = ref 0 in
           let seen = ref 0 in
@@ -612,7 +532,7 @@ let fold_words ?(chunk_words = 65536) ?(from = 0) ?until path ~init ~f =
               if !fill = chunk_words then flush ()
             end;
             incr seen;
-            if !seen >= until then begin
+            if !seen >= until && until < n then begin
               flush ();
               raise Early_stop
             end
@@ -756,7 +676,7 @@ let fold_blocks_parallel ?jobs path ~init ~f =
    trace file, decoding only the covering blocks (the `systrace slice`
    back end).  Returns the number of words written. *)
 let slice ?from ?until src dst =
-  let w = open_writer ~compress:true ~version:3 dst in
+  let w = open_writer ~compress:true dst in
   Fun.protect
     ~finally:(fun () -> ignore (close_writer w : int))
     (fun () ->

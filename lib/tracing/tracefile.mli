@@ -3,7 +3,8 @@
     (version 1), {!Compress} delta/varint (version 2), and indexed
     self-contained compressed blocks (version 3 — seekable, parallel
     decodable, semantically preconditioned); {!load} dispatches on the
-    stored version, and v1/v2 files keep loading byte-identically. *)
+    stored version, and v1/v2 files keep loading byte-identically.  The
+    writer produces versions 1 and 3; version 2 is read only. *)
 
 exception Bad_file of string
 
@@ -17,16 +18,16 @@ val v3_block_words : int
     independently — own codec choice, fresh predictors, own CRC — so
     blocks seek and decode in isolation. *)
 
-val save : ?compress:bool -> ?version:int -> string -> int array -> unit
-(** Write a captured trace. [~compress:true] (default [false]) selects a
-    compressed format: version 3 by default (indexed blocks, typically
-    4-100x smaller on real system traces), or [~version:2] for the
-    legacy whole-stream delta/varint format.  [version] is ignored
-    without [~compress:true].
-    @raise Invalid_argument naming the offending index if any word is
-    outside the 32-bit trace-word range (a corrupted in-memory buffer
-    must not round-trip into a "valid" file), or on an unsupported
-    [version]. *)
+val save : ?compress:bool -> string -> int array -> unit
+(** Write a captured trace: {!open_writer}, one {!write}, {!close_writer}.
+    [~compress:true] (default [false]) selects version 3 (indexed
+    blocks, typically 4-100x smaller on real system traces); otherwise
+    version 1 (raw words).
+    @raise Invalid_argument as {!write} if any word is outside the
+    32-bit trace-word range (a corrupted in-memory buffer must not
+    round-trip into a "valid" file) or the trace exceeds {!max_words};
+    the words are checked before [path] is opened, so it is left
+    untouched. *)
 
 val load : string -> int array
 (** Read back any format.  On ANY byte sequence this either returns a
@@ -48,18 +49,15 @@ val load : string -> int array
 
 type writer
 
-val open_writer : ?compress:bool -> ?version:int -> string -> writer
-(** Start a trace file of the given format (the header's word count is
-    patched on close, so the destination must be seekable — a regular
-    file, not a pipe).  With [~compress:true] (version 3 by default,
-    [~version:2] for the legacy format) the stream is compressed
-    incrementally: v3 packs a self-contained block every
-    {!v3_block_words} words and appends the index as a trailer on close;
-    v2 LZSS-packs the delta stream in ~1 MB blocks.  Either way block
-    boundaries depend only on the word stream, never on call chunking,
-    so the streamed file is byte-identical to [save] of the
-    concatenation.
-    @raise Invalid_argument on an unsupported [version]. *)
+val open_writer : ?compress:bool -> string -> writer
+(** Start a trace file (the header's word count is patched on close, so
+    the destination must be seekable — a regular file, not a pipe):
+    version 1 by default, version 3 with [~compress:true].  A v3 stream
+    is compressed incrementally: a self-contained block every
+    {!v3_block_words} words, the index appended as a trailer on close.
+    Block boundaries depend only on the word stream, never on call
+    chunking, so the streamed file is byte-identical to [save] of the
+    concatenation. *)
 
 val write : writer -> int array -> len:int -> unit
 (** Append [words.(0 .. len-1)].  The array is consumed before return
@@ -95,7 +93,8 @@ val fold_words :
     the stored count) restrict the fold to the window [from, until):
     v1 files seek straight to the window, v3 files seek to the covering
     block via the index, v2 files decode from the start but emit only
-    the window and stop at [until].  With a window, bytes past what the
+    the window and stop at [until] (a window running to the end decodes
+    and checks the whole stream).  With a window, bytes past what the
     fold needed are not read, so corruption beyond the window goes
     undetected — use {!load} or a full fold to audit a file.
     @raise Bad_file as {!load}.

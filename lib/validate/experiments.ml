@@ -538,9 +538,9 @@ let corruption_table ?(wname = "egrep") ?(trials = 300) ?(seed = 7) () =
     List.iteri
       (fun pid bbs -> Systrace_tracing.Parser.register_pid p ~pid bbs)
       user_bbs;
-    let sim =
-      Systrace_tracesim.Memsim.create
-        {
+    let sw =
+      Systrace_tracesim.Memsim.sweep
+        [ {
           Systrace_tracesim.Memsim.icache_bytes = 4096;
           icache_line = 16;
           icache_ways = 1;
@@ -556,13 +556,14 @@ let corruption_table ?(wname = "egrep") ?(trials = 300) ?(seed = 7) () =
           utlb_handler_insns = 8;
           ktlb_handler_insns = 24;
           tlb_entries = 64;
-        }
+        } ]
     in
     Systrace_tracing.Parser.set_handlers p
-      (Systrace_tracesim.Memsim.handlers sim);
+      (Systrace_tracesim.Memsim.sweep_handlers sw);
     Systrace_tracing.Parser.feed p ws ~len:(Array.length ws);
     Systrace_tracing.Parser.finish p;
-    (Systrace_tracesim.Memsim.stats sim).Systrace_tracesim.Memsim.unmapped
+    (Systrace_tracesim.Memsim.sweep_stats sw).(0)
+      .Systrace_tracesim.Memsim.unmapped
   in
   (* sanity: the pristine trace parses with no unmapped references *)
   if parse words <> 0 then failwith "corruption: pristine trace not clean";
@@ -803,9 +804,9 @@ let drain_ablation_table ?(wname = "sed") () =
       (fun (pi : Builder.proc_info) ->
         Systrace_tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
       b.Builder.procs;
-    let sim =
-      Systrace_tracesim.Memsim.create
-        {
+    let sw =
+      Systrace_tracesim.Memsim.sweep
+        [ {
           Systrace_tracesim.Memsim.icache_bytes = 16384;
           icache_line = 16;
           icache_ways = 1;
@@ -821,12 +822,12 @@ let drain_ablation_table ?(wname = "sed") () =
           utlb_handler_insns = 8;
           ktlb_handler_insns = 24;
           tlb_entries = 64;
-        }
+        } ]
     in
     (* virtual-indexed stand-in map (identity-ish): the page map is only
        extractable after the run, and the comparison between the two
        policies only needs a fixed translation *)
-    let sink = Systrace_tracesim.Memsim.sink sim p in
+    let sink = Systrace_tracesim.Memsim.sweep_sink sw p in
     b.Builder.trace_sink <-
       Some (fun ws len -> sink.Systrace_tracing.Sink.on_words ws ~len);
     (match Builder.run b ~max_insns:2_000_000_000 with
@@ -836,7 +837,7 @@ let drain_ablation_table ?(wname = "sed") () =
     sink.Systrace_tracing.Sink.finish ();
     (String.trim (Builder.console b),
      Systrace_tracing.Parser.stats p,
-     Systrace_tracesim.Memsim.stats sim,
+     (Systrace_tracesim.Memsim.sweep_stats sw).(0),
      Builder.peek b "kstat_displaced")
   in
   let con1, ps1, ms1, d1 = run true in

@@ -81,13 +81,17 @@ let test_sim_stack_evict () =
   if !partial < 1000 || !all < 1000 then
     Alcotest.failf "%d partial and %d full misses in %d reads" !partial !all calls
 
-(* bursts of back-to-back stores: the buffer fills, stalls and drains *)
+(* bursts of back-to-back stores: the buffer fills, stalls and drains,
+   the caller's clock advanced by each stall as the simulator does *)
 let test_sim_wb () =
-  let wb = Sim_wb.create ~depth:4 ~drain_cycles:6 () in
-  check_zero "Sim_wb.store" (fun i ->
-      Sim_wb.tick wb (if i land 7 = 0 then 40 else 1);
-      ignore (Sim_wb.store wb));
-  Alcotest.(check bool) "stalls exercised" true (wb.Sim_wb.stall_cycles > 0)
+  let r = Sim_wb.ring_create ~depth:4 ~drain_cycles:6 in
+  let clock = ref 0 and stalls = ref 0 in
+  check_zero "Sim_wb.ring_store" (fun i ->
+      clock := !clock + if i land 7 = 0 then 40 else 1;
+      let stall = Sim_wb.ring_store r ~clock:!clock in
+      clock := !clock + stall;
+      stalls := !stalls + stall);
+  Alcotest.(check bool) "stalls exercised" true (!stalls > 0)
 
 let test_sim_tlb () =
   let t = Sim_tlb.create () in
@@ -198,7 +202,7 @@ let tests =
     Alcotest.test_case "Sim_stack.write" `Quick test_sim_stack_write;
     Alcotest.test_case "Sim_stack.read misses, 4-member family" `Quick
       test_sim_stack_evict;
-    Alcotest.test_case "Sim_wb.store" `Quick test_sim_wb;
+    Alcotest.test_case "Sim_wb.ring_store" `Quick test_sim_wb;
     Alcotest.test_case "Sim_tlb.access with memo misses" `Quick test_sim_tlb;
     Alcotest.test_case "Machine.translate_i, warm cache" `Quick test_translate_i;
     Alcotest.test_case "extract_pagemap lookup" `Quick test_pagemap_lookup;

@@ -142,8 +142,8 @@ let test_v3_replay_matches_v2 () =
   in
   with_tmp (fun p2 ->
       with_tmp (fun p3 ->
-          Tracing.Tracefile.save ~compress:true ~version:2 p2 words;
-          Tracing.Tracefile.save ~compress:true ~version:3 p3 words;
+          Test_tracing.write_v2 p2 words;
+          Tracing.Tracefile.save ~compress:true p3 words;
           let r2 = replay_file ~system:run.system ~memsim_cfg:(memsim_cfg run) p2 in
           let r3 = replay_file ~system:run.system ~memsim_cfg:(memsim_cfg run) p3 in
           Alcotest.(check bool) "v2 replay == baseline" true (r2 = base);

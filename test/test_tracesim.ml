@@ -104,54 +104,61 @@ let test_tlb_size_param () =
 (* ------------------------------------------------------------------ *)
 (* Write buffer model                                                  *)
 
-let test_wb_burst_stalls () =
-  let wb = Sim_wb.create ~depth:4 ~drain_cycles:6 () in
-  let total = ref 0 in
-  for _ = 1 to 20 do
-    Sim_wb.tick wb 1;
-    total := !total + Sim_wb.store wb
+(* [n] stores [gap] cycles apart through a depth-4, drain-6 ring, the
+   caller's clock advanced by each stall as the simulator does; the
+   total stall *)
+let ring_stall_total ~gap n =
+  let r = Sim_wb.ring_create ~depth:4 ~drain_cycles:6 in
+  let clock = ref 0 and total = ref 0 in
+  for _ = 1 to n do
+    clock := !clock + gap;
+    let stall = Sim_wb.ring_store r ~clock:!clock in
+    clock := !clock + stall;
+    total := !total + stall
   done;
-  check "burst causes stalls" true (!total > 0)
+  !total
+
+let test_wb_burst_stalls () =
+  check "burst causes stalls" true (ring_stall_total ~gap:1 20 > 0)
 
 let test_wb_spaced_stores_free () =
-  let wb = Sim_wb.create ~depth:4 ~drain_cycles:6 () in
-  let total = ref 0 in
-  for _ = 1 to 20 do
-    Sim_wb.tick wb 10;
-    total := !total + Sim_wb.store wb
-  done;
-  check_int "spaced stores never stall" 0 !total
+  check_int "spaced stores never stall" 0 (ring_stall_total ~gap:10 20)
 
 (* ------------------------------------------------------------------ *)
 (* Memsim: synthetic event streams                                     *)
 
 let mk_memsim ?(tlb_entries = 64) () =
-  Memsim.create
-    {
-      Memsim.icache_bytes = 4096;
-      icache_line = 16;
-      icache_ways = 1;
-      dcache_bytes = 4096;
-      dcache_line = 4;
-      dcache_ways = 1;
-      read_miss_penalty = 10;
-      uncached_penalty = 10;
-      wb_depth = 4;
-      wb_drain = 6;
-      pagemap = (fun _pid va -> va land 0xFFFFF);
-      pt_base = (fun pid -> 0xC0000000 + (pid * 0x200000));
-      utlb_handler_insns = 8;
-      ktlb_handler_insns = 24;
-      tlb_entries;
-    }
+  Memsim.sweep
+    [
+      {
+        Memsim.icache_bytes = 4096;
+        icache_line = 16;
+        icache_ways = 1;
+        dcache_bytes = 4096;
+        dcache_line = 4;
+        dcache_ways = 1;
+        read_miss_penalty = 10;
+        uncached_penalty = 10;
+        wb_depth = 4;
+        wb_drain = 6;
+        pagemap = (fun _pid va -> va land 0xFFFFF);
+        pt_base = (fun pid -> 0xC0000000 + (pid * 0x200000));
+        utlb_handler_insns = 8;
+        ktlb_handler_insns = 24;
+        tlb_entries;
+      };
+    ]
+
+(* a one-config sweep's stats *)
+let stats1 m = (Memsim.sweep_stats m).(0)
 
 let test_memsim_utlb_synthesis () =
   let m = mk_memsim () in
   (* one user instruction on a fresh page: TLB miss -> synthesized
      handler (8 instructions) + PTE load (whose kseg2 access KTLB-misses
      and synthesizes another 24). *)
-  Memsim.on_inst m 0x00400000 1 false;
-  let s = Memsim.stats m in
+  Memsim.sweep_on_inst m 0x00400000 1 false;
+  let s = stats1 m in
   check_int "one utlb miss" 1 s.Memsim.utlb_misses;
   check_int "one ktlb miss" 1 s.Memsim.ktlb_misses;
   check_int "synthesized instructions" (8 + 24) s.Memsim.synth_insts;
@@ -159,33 +166,33 @@ let test_memsim_utlb_synthesis () =
 
 let test_memsim_no_tlb_for_kseg0 () =
   let m = mk_memsim () in
-  Memsim.on_inst m 0x80001000 0 true;
-  Memsim.on_data m 0x80080000 0 true true 4;
-  let s = Memsim.stats m in
+  Memsim.sweep_on_inst m 0x80001000 0 true;
+  Memsim.sweep_on_data m 0x80080000 0 true true 4;
+  let s = stats1 m in
   check_int "no tlb misses" 0 (s.Memsim.utlb_misses + s.Memsim.ktlb_misses)
 
 let test_memsim_kseg1_uncached () =
   let m = mk_memsim () in
-  Memsim.on_data m 0xA1000000 0 true true 4;
-  Memsim.on_data m 0xA1000000 0 true false 4;
-  let s = Memsim.stats m in
+  Memsim.sweep_on_data m 0xA1000000 0 true true 4;
+  Memsim.sweep_on_data m 0xA1000000 0 true false 4;
+  let s = stats1 m in
   check_int "uncached read" 1 s.Memsim.uncached_reads;
   check_int "uncached write" 1 s.Memsim.uncached_writes
 
 let test_memsim_mode_split () =
   let m = mk_memsim () in
-  Memsim.on_inst m 0x80001000 0 true;
-  Memsim.on_inst m 0x00400000 1 false;
-  let s = Memsim.stats m in
+  Memsim.sweep_on_inst m 0x80001000 0 true;
+  Memsim.sweep_on_inst m 0x00400000 1 false;
+  let s = stats1 m in
   check_int "kernel insts" 1 s.Memsim.kernel_insts;
   check_int "user insts" 1 s.Memsim.user_insts
 
 let test_memsim_same_page_one_miss () =
   let m = mk_memsim () in
   for k = 0 to 99 do
-    Memsim.on_inst m (0x00400000 + (k * 4)) 1 false
+    Memsim.sweep_on_inst m (0x00400000 + (k * 4)) 1 false
   done;
-  check_int "one page, one miss" 1 (Memsim.stats m).Memsim.utlb_misses
+  check_int "one page, one miss" 1 (stats1 m).Memsim.utlb_misses
 
 (* ------------------------------------------------------------------ *)
 (* Predictor arithmetic                                                *)
@@ -359,32 +366,35 @@ let test_memsim_ways_knob () =
   (* Two data pages colliding in a direct-mapped D-cache stop colliding at
      2 ways; everything else in the config untouched. *)
   let mk ways =
-    Memsim.create
-      {
-        Memsim.icache_bytes = 4096;
-        icache_line = 4;
-        icache_ways = 1;
-        dcache_bytes = 4096;
-        dcache_line = 4;
-        dcache_ways = ways;
-        read_miss_penalty = 15;
-        uncached_penalty = 6;
-        wb_depth = 4;
-        wb_drain = 5;
-        pagemap = (fun _ va -> va land 0xFFFFFF);
-        pt_base = (fun _ -> 0xC0000000);
-        utlb_handler_insns = 8;
-        ktlb_handler_insns = 24;
-        tlb_entries = 64;
-      }
+    Memsim.sweep
+      [
+        {
+          Memsim.icache_bytes = 4096;
+          icache_line = 4;
+          icache_ways = 1;
+          dcache_bytes = 4096;
+          dcache_line = 4;
+          dcache_ways = ways;
+          read_miss_penalty = 15;
+          uncached_penalty = 6;
+          wb_depth = 4;
+          wb_drain = 5;
+          pagemap = (fun _ va -> va land 0xFFFFFF);
+          pt_base = (fun _ -> 0xC0000000);
+          utlb_handler_insns = 8;
+          ktlb_handler_insns = 24;
+          tlb_entries = 64;
+        };
+      ]
   in
   let drive sim =
     for _ = 1 to 40 do
       (* kseg0 addresses: no TLB traffic, pure cache behaviour *)
-      Memsim.on_data sim 0x80002000 0 true true 4;
-      Memsim.on_data sim 0x80003000 0 true true 4 (* +4096: same line idx *)
+      (* 0x80003000 = 0x80002000 + 4096: the same line index *)
+      Memsim.sweep_on_data sim 0x80002000 0 true true 4;
+      Memsim.sweep_on_data sim 0x80003000 0 true true 4
     done;
-    (Memsim.stats sim).Memsim.dcache_read_misses
+    (stats1 sim).Memsim.dcache_read_misses
   in
   Alcotest.(check int) "1-way ping-pong" 80 (drive (mk 1));
   Alcotest.(check int) "2-way coexist" 2 (drive (mk 2))
@@ -535,10 +545,176 @@ module Wb_list = struct
     stall
 end
 
+(* The eager single-configuration simulator: the reference model the
+   sweep must match, configuration by configuration.  Every reference
+   ticks the write buffer's clock; a TLB miss synthesizes its refill
+   handler's ifetches and page-table load; caches are write-through/
+   no-write-allocate Sim_cache_assoc models and the buffer is the
+   Wb_list model above. *)
+module Memsim_ref = struct
+  type t = {
+    cfg : Memsim.config;
+    icache : Sim_cache_assoc.t;
+    dcache : Sim_cache_assoc.t;
+    tlb : Sim_tlb.t;
+    wb : Wb_list.t;
+    s : Memsim.stats;
+  }
+
+  let create (cfg : Memsim.config) =
+    {
+      cfg;
+      icache =
+        Sim_cache_assoc.create ~size_bytes:cfg.icache_bytes
+          ~line_bytes:cfg.icache_line ~ways:cfg.icache_ways ();
+      dcache =
+        Sim_cache_assoc.create ~size_bytes:cfg.dcache_bytes
+          ~line_bytes:cfg.dcache_line ~ways:cfg.dcache_ways ();
+      tlb = Sim_tlb.create ~size:cfg.tlb_entries ();
+      wb = Wb_list.create ~depth:cfg.wb_depth ~drain:cfg.wb_drain;
+      s =
+        {
+          Memsim.insts = 0;
+          datas = 0;
+          kernel_insts = 0;
+          user_insts = 0;
+          kernel_stall = 0;
+          user_stall = 0;
+          synth_insts = 0;
+          icache_misses = 0;
+          dcache_read_misses = 0;
+          uncached_reads = 0;
+          uncached_writes = 0;
+          wb_stalls = 0;
+          utlb_misses = 0;
+          ktlb_misses = 0;
+          unmapped = 0;
+        };
+    }
+
+  let stats t = t.s
+  let tick t n = Wb_list.tick t.wb n
+
+  let translate t ~pid va =
+    let pa = t.cfg.pagemap pid va in
+    if pa >= 0 then pa
+    else begin
+      t.s.unmapped <- t.s.unmapped + 1;
+      va land 0x00FFFFFF
+    end
+
+  (* a cache read; a miss is counted and stalls the clock, and the
+     result says whether it missed *)
+  let iread t pa =
+    let miss = not (Sim_cache_assoc.read t.icache pa) in
+    if miss then begin
+      t.s.icache_misses <- t.s.icache_misses + 1;
+      tick t t.cfg.read_miss_penalty
+    end;
+    miss
+
+  let dread t pa =
+    let miss = not (Sim_cache_assoc.read t.dcache pa) in
+    if miss then begin
+      t.s.dcache_read_misses <- t.s.dcache_read_misses + 1;
+      tick t t.cfg.read_miss_penalty
+    end;
+    miss
+
+  (* KTLB refill: ifetches at the general vector, then the root-table
+     load (kseg0-resident, a fixed address) *)
+  let synth_ktlb t =
+    t.s.ktlb_misses <- t.s.ktlb_misses + 1;
+    for k = 0 to t.cfg.ktlb_handler_insns - 1 do
+      t.s.synth_insts <- t.s.synth_insts + 1;
+      tick t 1;
+      ignore (iread t (0x80 + (k * 4)) : bool)
+    done;
+    tick t 1;
+    ignore (dread t 0x9000 : bool)
+
+  (* UTLB refill: ifetches at the UTLB vector, then the PTE load from
+     the process's linear page table in kseg2 (a global mapping, which
+     can itself KTLB-miss) *)
+  let synth_utlb t ~pid ~vpn =
+    t.s.utlb_misses <- t.s.utlb_misses + 1;
+    for k = 0 to t.cfg.utlb_handler_insns - 1 do
+      t.s.synth_insts <- t.s.synth_insts + 1;
+      tick t 1;
+      ignore (iread t (k * 4) : bool)
+    done;
+    let pte_va = t.cfg.pt_base pid + (vpn * 4) in
+    if
+      not
+        (Sim_tlb.access t.tlb ~vpn:(pte_va lsr 12) ~asid:0 ~global:true
+           ~user:false)
+    then synth_ktlb t;
+    ignore (dread t (translate t ~pid pte_va) : bool)
+
+  (* the cached physical address of a reference, charging its TLB
+     behaviour, or -1 for uncached kseg1 *)
+  let to_phys t ~pid va =
+    let vpn = va lsr 12 in
+    if va < 0x80000000 then begin
+      if
+        not
+          (Sim_tlb.access t.tlb ~vpn ~asid:(pid + 1) ~global:false ~user:true)
+      then synth_utlb t ~pid ~vpn;
+      translate t ~pid va
+    end
+    else if va < 0xA0000000 then va - 0x80000000
+    else if va < 0xC0000000 then -1
+    else begin
+      if not (Sim_tlb.access t.tlb ~vpn ~asid:0 ~global:true ~user:false)
+      then synth_ktlb t;
+      translate t ~pid va
+    end
+
+  let charge t ~kernel stall =
+    if kernel then t.s.kernel_stall <- t.s.kernel_stall + stall
+    else t.s.user_stall <- t.s.user_stall + stall
+
+  let on_inst t addr pid kernel =
+    t.s.insts <- t.s.insts + 1;
+    if kernel then t.s.kernel_insts <- t.s.kernel_insts + 1
+    else t.s.user_insts <- t.s.user_insts + 1;
+    tick t 1;
+    let pa = to_phys t ~pid addr in
+    if pa >= 0 then begin
+      if iread t pa then charge t ~kernel t.cfg.read_miss_penalty
+    end
+    else begin
+      t.s.uncached_reads <- t.s.uncached_reads + 1;
+      charge t ~kernel t.cfg.uncached_penalty;
+      tick t t.cfg.uncached_penalty
+    end
+
+  let on_data t addr pid kernel is_load _bytes =
+    t.s.datas <- t.s.datas + 1;
+    let pa = to_phys t ~pid addr in
+    if pa >= 0 then begin
+      if is_load then begin
+        if dread t pa then charge t ~kernel t.cfg.read_miss_penalty
+      end
+      else begin
+        let (_hit : bool) = Sim_cache_assoc.write t.dcache pa in
+        let stall = Wb_list.store t.wb in
+        charge t ~kernel stall;
+        t.s.wb_stalls <- t.s.wb_stalls + stall
+      end
+    end
+    else begin
+      charge t ~kernel t.cfg.uncached_penalty;
+      if is_load then t.s.uncached_reads <- t.s.uncached_reads + 1
+      else t.s.uncached_writes <- t.s.uncached_writes + 1;
+      tick t t.cfg.uncached_penalty
+    end
+end
+
 let prop_ring_equals_wb =
   (* The ring returns the same stall per store as the eagerly-ticked list
-     model, both through Sim_wb's own ticked clock and against the clock
-     the sweep derives (ticks so far plus stalls so far). *)
+     model, against the clock the simulator derives (ticks so far plus
+     stalls so far), and that clock stays the model's. *)
   QCheck.Test.make ~count:200 ~name:"wb ring == eager wb model"
     QCheck.(
       pair
@@ -546,19 +722,16 @@ let prop_ring_equals_wb =
         (list_of_size Gen.(int_range 1 300) (int_range 0 12) (* inter-store gaps *)))
     (fun ((depth, drain), gaps) ->
       let oracle = Wb_list.create ~depth ~drain in
-      let wb = Sim_wb.create ~depth ~drain_cycles:drain () in
       let ring = Sim_wb.ring_create ~depth ~drain_cycles:drain in
       let base = ref 0 (* sum of ticks *) and stalls = ref 0 in
       List.for_all
         (fun gap ->
           Wb_list.tick oracle gap;
-          Sim_wb.tick wb gap;
           base := !base + gap;
           let s_list = Wb_list.store oracle in
-          let s_eager = Sim_wb.store wb in
           let s_ring = Sim_wb.ring_store ring ~clock:(!base + !stalls) in
           stalls := !stalls + s_ring;
-          s_list = s_eager && s_list = s_ring && wb.Sim_wb.clock = oracle.Wb_list.clock)
+          s_list = s_ring && !base + !stalls = oracle.Wb_list.clock)
         gaps)
 
 let prop_write_accounting =
@@ -692,9 +865,9 @@ let check_sweep_matches_singles cfgs events =
   let swept = Memsim.sweep_stats sw in
   List.for_all2
     (fun c s1 ->
-      let m = Memsim.create c in
-      drive_events (Memsim.on_inst m) (Memsim.on_data m) events;
-      stats_equal (Memsim.stats m) s1)
+      let m = Memsim_ref.create c in
+      drive_events (Memsim_ref.on_inst m) (Memsim_ref.on_data m) events;
+      stats_equal (Memsim_ref.stats m) s1)
     cfgs (Array.to_list swept)
 
 let prop_sweep_equals_independent =
@@ -726,6 +899,40 @@ let prop_sweep_equals_independent =
                dcache_ways = dways;
                tlb_entries = tlb;
                wb_depth = wb;
+             }
+         in
+         let* cfgs = list_size (int_range 1 6) cfg_gen in
+         let* events = events_gen ~max_events:500 in
+         return (cfgs, events)))
+    (fun (cfgs, events) -> check_sweep_matches_singles cfgs events)
+
+let prop_sweep_timing_equals_independent =
+  (* The same contract with the timing parameters drawn too: handler
+     lengths, penalties and drain rates.  At the base config's 24-insn
+     KTLB handler the buffer has always drained by the time a refill
+     ends, which would hide an off-by-one in the derived clock; short
+     handlers, zero penalties and slow drains keep stores queued across
+     refills and uncached references, where every tick counts. *)
+  QCheck.Test.make ~count:60 ~name:"sweep == independent runs, timing axes"
+    (QCheck.make ~print:(fun (cfgs, events) ->
+         Printf.sprintf "%d cfgs, %d events" (List.length cfgs)
+           (List.length events))
+       QCheck.Gen.(
+         let cfg_gen =
+           let* uh = oneofl [ 0; 1; 2; 8 ] and* kh = oneofl [ 0; 1; 3; 24 ] in
+           let* rmp = oneofl [ 0; 2; 13 ] and* up = oneofl [ 0; 1; 7 ] in
+           let* depth = oneofl [ 1; 2; 4 ] and* drain = oneofl [ 0; 6; 25; 60 ] in
+           let* tlb = oneofl [ 16; 64 ] in
+           return
+             {
+               sweep_base_cfg with
+               Memsim.utlb_handler_insns = uh;
+               ktlb_handler_insns = kh;
+               read_miss_penalty = rmp;
+               uncached_penalty = up;
+               wb_depth = depth;
+               wb_drain = drain;
+               tlb_entries = tlb;
              }
          in
          let* cfgs = list_size (int_range 1 6) cfg_gen in
@@ -777,6 +984,7 @@ let tests =
       QCheck_alcotest.to_alcotest prop_write_accounting;
       QCheck_alcotest.to_alcotest prop_sweep_equals_independent;
       QCheck_alcotest.to_alcotest prop_sweep_grid_equals_independent;
+      QCheck_alcotest.to_alcotest prop_sweep_timing_equals_independent;
       Alcotest.test_case "sweep: rejects mixed pagemaps" `Quick
         test_sweep_rejects_mixed_pagemaps;
       Alcotest.test_case "grid: shape and nesting" `Quick test_grid_shape;

@@ -418,12 +418,12 @@ let test_tracefile_compressed () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Tracefile.save ~compress:true path words;
-      Alcotest.(check (array int)) "v2 roundtrip" words (Tracefile.load path);
+      Alcotest.(check (array int)) "v3 roundtrip" words (Tracefile.load path);
       let compressed_size = (Unix.stat path).Unix.st_size in
       Tracefile.save path words;
       Alcotest.(check (array int)) "v1 roundtrip" words (Tracefile.load path);
       let raw_size = (Unix.stat path).Unix.st_size in
-      Alcotest.(check bool) "v2 smaller" true (compressed_size < raw_size))
+      Alcotest.(check bool) "v3 smaller" true (compressed_size < raw_size))
 
 let tests =
   tests
@@ -996,13 +996,39 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Version-2 trace files, which the writer no longer produces but the
+   readers still load: magic, then version, word count and payload byte
+   count, then the payload — one delta/varint stream, LZSS-packed
+   ([Compress.pack]) or, as files from the old block-flushing writer
+   were, packed in pieces and concatenated. *)
+let write_v2_payload path ~words payload =
+  let hdr = Bytes.create 12 in
+  Bytes.set_int32_le hdr 0 2l;
+  Bytes.set_int32_le hdr 4 (Int32.of_int words);
+  Bytes.set_int32_le hdr 8 (Int32.of_int (String.length payload));
+  write_file path ("STRC" ^ Bytes.to_string hdr ^ payload)
+
+let write_v2 path (words : int array) =
+  write_v2_payload path ~words:(Array.length words) (Compress.pack words)
+
+(* a trace file of format version 1, 2 or 3 *)
+let save_version version path words =
+  match version with
+  | 1 -> Tracefile.save path words
+  | 2 -> write_v2 path words
+  | _ -> Tracefile.save ~compress:true path words
+
 let test_tracefile_save_range () =
   with_temp (fun path ->
-      (* too wide *)
+      Tracefile.save path [| 7; 8 |];
+      let before = read_file path in
+      (* too wide: rejected by the writer's check, before [path] opens *)
       (match Tracefile.save path [| 0x10; 0x1_0000_0000 |] with
       | () -> Alcotest.fail "33-bit word accepted"
       | exception Invalid_argument msg ->
-        check "names the offending index" true (contains msg "word 1"));
+        check "names the offending index" true (contains msg "word 1");
+        check "the writer's message" true (contains msg "Tracefile.write:"));
+      check "existing file untouched" true (read_file path = before);
       (* negative *)
       match Tracefile.save path [| -1 |] with
       | () -> Alcotest.fail "negative word accepted"
@@ -1066,7 +1092,7 @@ let prop_tracefile_load_total =
         else
           with_temp (fun path ->
               let words = Array.init 60 (fun i -> (i * 2654435761) land 0xFFFFFFFF) in
-              Tracefile.save ~compress:(seed mod 2 = 0) path words;
+              save_version (1 + (seed / 3 mod 3)) path words;
               Faults.mangle rng (read_file path))
       in
       with_temp (fun path ->
@@ -1503,23 +1529,28 @@ let prop_writer_fold_roundtrip =
           QCheck.Gen.(int_range 1 97)
           QCheck.Gen.bool))
     (fun (words, sizes, chunk_words, compress) ->
-      with_temp (fun path ->
-          let w = Tracefile.open_writer ~compress path in
-          List.iter
-            (fun (pos, len) -> Tracefile.write w (Array.sub words pos len) ~len)
-            (cuts_of sizes (Array.length words));
-          let n = Tracefile.close_writer w in
-          let folded = ref [] in
-          let total =
-            Tracefile.fold_words ~chunk_words path ~init:0
-              ~f:(fun acc chunk ~len ->
-                folded := Array.sub chunk 0 len :: !folded;
-                acc + len)
-          in
-          n = Array.length words
-          && total = Array.length words
-          && Array.concat (List.rev !folded) = words
-          && Tracefile.load path = words))
+      with_temp (fun saved ->
+          with_temp (fun path ->
+              Tracefile.save ~compress saved words;
+              let w = Tracefile.open_writer ~compress path in
+              List.iter
+                (fun (pos, len) ->
+                  Tracefile.write w (Array.sub words pos len) ~len)
+                (cuts_of sizes (Array.length words));
+              let n = Tracefile.close_writer w in
+              let folded = ref [] in
+              let total =
+                Tracefile.fold_words ~chunk_words path ~init:0
+                  ~f:(fun acc chunk ~len ->
+                    folded := Array.sub chunk 0 len :: !folded;
+                    acc + len)
+              in
+              n = Array.length words
+              && total = Array.length words
+              && Array.concat (List.rev !folded) = words
+              && Tracefile.load path = words
+              (* [save] is the writer, so the bytes are the same *)
+              && read_file saved = read_file path)))
 
 let test_writer_byte_identical_to_save () =
   (* chunked writes produce byte-for-byte what the batch writer produces:
@@ -1546,10 +1577,10 @@ let test_writer_byte_identical_to_save () =
                 (read_file p1) (read_file p2))))
     [ false; true ]
 
-let test_writer_multiblock_v2 () =
-  (* a delta stream larger than the ~1MB block size forces the writer
-     through several LZSS blocks; the concatenation must read back with
-     the ordinary loader AND the chunked reader *)
+let test_multiblock_v2_load () =
+  (* the old v2 writer LZSS-packed a delta stream larger than ~1 MB in
+     several blocks and concatenated them; such a file must read back
+     with the ordinary loader AND the chunked reader *)
   let n = 300_000 in
   (* LCG, not an affine ramp: consecutive deltas must vary, or the whole
      stream collapses into one run token *)
@@ -1559,30 +1590,56 @@ let test_writer_multiblock_v2 () =
         x := ((!x * 1103515245) + 12345) land 0xFFFFFFFF;
         !x)
   in
+  let delta = Compress.encode words in
+  let block = 1 lsl 20 in
   Alcotest.(check bool)
     "delta stream spans several blocks" true
-    (String.length (Compress.encode words) > 1 lsl 20);
+    (String.length delta > block);
+  let payload =
+    String.concat ""
+      (List.map
+         (fun (pos, len) -> Compress.lzss_pack (String.sub delta pos len))
+         (cuts_of [ block ] (String.length delta)))
+  in
   with_temp (fun path ->
-      let w = Tracefile.open_writer ~compress:true path in
-      List.iter
-        (fun (pos, len) -> Tracefile.write w (Array.sub words pos len) ~len)
-        (cuts_of [ 65536 ] n);
-      check_int "count" n (Tracefile.close_writer w);
+      write_v2_payload path ~words:n payload;
       Alcotest.(check bool) "load" true (Tracefile.load path = words);
       let sum =
         Tracefile.fold_words path ~init:0 ~f:(fun acc _ ~len -> acc + len)
       in
       check_int "fold word count" n sum)
 
+let test_v2_full_fold_audits_end () =
+  (* regression: a v2 header that under-counts the payload by a byte or
+     two still leaves every word decodable, but the LZSS stream is cut
+     short.  [load] reports it; a whole-trace fold used to stop at the
+     last word and return clean, skipping the end-of-stream checks. *)
+  let words = Array.init 60 (fun i -> (i * 2654435761) land 0xFFFFFFFF) in
+  let payload = Compress.pack words in
+  with_temp (fun path ->
+      List.iter
+        (fun cut ->
+          write_v2_payload path ~words:60
+            (String.sub payload 0 (String.length payload - cut));
+          expect_bad_file path;
+          match
+            Tracefile.fold_words path ~init:() ~f:(fun () _ ~len:_ -> ())
+          with
+          | () -> Alcotest.failf "fold accepted a payload %d bytes short" cut
+          | exception Tracefile.Bad_file _ -> ())
+        [ 1; 2 ])
+
 let test_writer_rejects_bad_words () =
   with_temp (fun path ->
       let w = Tracefile.open_writer path in
       Tracefile.write w [| 1; 2; 3 |] ~len:3;
-      (match Tracefile.write w [| 0x1_0000_0000 |] ~len:1 with
+      (match Tracefile.write w [| 4; 0x1_0000_0000 |] ~len:2 with
       | () -> Alcotest.fail "33-bit word accepted"
       | exception Invalid_argument msg ->
-        check "global stream index in message" true (contains msg "word 3"));
-      ignore (Tracefile.close_writer w))
+        check "global stream index in message" true (contains msg "word 4"));
+      check_int "the rejected chunk wrote nothing" 3 (Tracefile.close_writer w);
+      check "file holds the accepted words" true
+        (Tracefile.load path = [| 1; 2; 3 |]))
 
 let test_fold_words_callback_exn () =
   (* the reader's totality contract wraps ITS failures in Bad_file but
@@ -1608,7 +1665,7 @@ let prop_fold_words_total =
               let words =
                 Array.init 60 (fun i -> (i * 2654435761) land 0xFFFFFFFF)
               in
-              Tracefile.save ~compress:(seed mod 2 = 0) path words;
+              save_version (1 + (seed / 3 mod 3)) path words;
               Faults.mangle rng (read_file path))
       in
       with_temp (fun path ->
@@ -1634,10 +1691,12 @@ let tests =
       QCheck_alcotest.to_alcotest prop_writer_fold_roundtrip;
       Alcotest.test_case "tracefile: writer byte-identical to save" `Quick
         test_writer_byte_identical_to_save;
-      Alcotest.test_case "tracefile: multi-block v2 writer" `Quick
-        test_writer_multiblock_v2;
+      Alcotest.test_case "tracefile: multi-block v2 file loads" `Quick
+        test_multiblock_v2_load;
       Alcotest.test_case "tracefile: writer rejects bad words" `Quick
         test_writer_rejects_bad_words;
+      Alcotest.test_case "tracefile: v2 full fold audits the stream end"
+        `Quick test_v2_full_fold_audits_end;
       Alcotest.test_case "tracefile: fold_words lets callback exceptions \
                           through" `Quick test_fold_words_callback_exn;
       QCheck_alcotest.to_alcotest prop_fold_words_total;
@@ -1680,25 +1739,24 @@ let prop_semantic_roundtrip =
       = Array.sub words pos len)
 
 let prop_v3_version_roundtrip =
-  (* both compressed formats, chunk-split writer == save, load intact *)
+  (* chunk-split writer == save, load intact *)
   QCheck.Test.make ~count:200
-    ~name:"tracefile: v2/v3 chunked write + load roundtrip"
+    ~name:"tracefile: v3 chunked write + load roundtrip"
     (QCheck.make
-       ~print:(fun (ws, _, v) ->
-         Printf.sprintf "<%d words, v%d>" (Array.length ws) v)
-       QCheck.Gen.(triple gen_v3_words gen_sizes (int_range 2 3)))
-    (fun (words, sizes, version) ->
+       ~print:(fun (ws, _) -> Printf.sprintf "<%d words>" (Array.length ws))
+       QCheck.Gen.(pair gen_v3_words gen_sizes))
+    (fun (words, sizes) ->
       with_temp (fun p1 ->
           with_temp (fun p2 ->
-              Tracefile.save ~compress:true ~version p1 words;
-              let w = Tracefile.open_writer ~compress:true ~version p2 in
+              Tracefile.save ~compress:true p1 words;
+              let w = Tracefile.open_writer ~compress:true p2 in
               List.iter
                 (fun (pos, len) ->
                   Tracefile.write w (Array.sub words pos len) ~len)
                 (cuts_of sizes (Array.length words));
               ignore (Tracefile.close_writer w);
               Tracefile.load p1 = words
-              && (version = 2 || read_file p1 = read_file p2)
+              && read_file p1 = read_file p2
               && Tracefile.load p2 = words)))
 
 (* A multi-block v3 trace (several 64K-word blocks) shared by the tests
@@ -1760,8 +1818,7 @@ let prop_fold_window =
     (fun (words, a, b, version) ->
       let from = min a b and until = max a b in
       with_temp (fun path ->
-          (if version = 1 then Tracefile.save path words
-           else Tracefile.save ~compress:true ~version path words);
+          save_version version path words;
           let got = ref [] in
           ignore
             (Tracefile.fold_words ~chunk_words:23 ~from ~until path ~init:()
@@ -1783,8 +1840,7 @@ let prop_slice_matches_window =
       let from = min a b and until = max a b in
       with_temp (fun src ->
           with_temp (fun dst ->
-              (if version = 1 then Tracefile.save src words
-               else Tracefile.save ~compress:true ~version src words);
+              save_version version src words;
               let wrote = Tracefile.slice ~from ~until src dst in
               let n = Array.length words in
               let from' = min from n and until' = min until n in
@@ -1801,8 +1857,7 @@ let prop_parallel_fold_identity =
        QCheck.Gen.(triple gen_v3_words (int_range 1 4) (int_range 1 3)))
     (fun (words, jobs, version) ->
       with_temp (fun path ->
-          (if version = 1 then Tracefile.save path words
-           else Tracefile.save ~compress:true ~version path words);
+          save_version version path words;
           let seq = ref [] in
           ignore
             (Tracefile.fold_words path ~init:()
@@ -1833,16 +1888,17 @@ let test_parallel_fold_multiblock () =
 
 let test_empty_writer_roundtrip () =
   (* a writer closed after zero words must produce a valid empty file in
-     every format: load = [||], fold delivers no chunks, the structural
-     scanner sees a clean empty trace *)
+     every format it writes, and so must an empty v2 file: load = [||],
+     fold delivers no chunks, the structural scanner sees a clean empty
+     trace *)
   List.iter
     (fun version ->
       with_temp (fun path ->
-          let w =
-            if version = 1 then Tracefile.open_writer path
-            else Tracefile.open_writer ~compress:true ~version path
-          in
-          check_int "zero words" 0 (Tracefile.close_writer w);
+          if version = 2 then write_v2 path [||]
+          else begin
+            let w = Tracefile.open_writer ~compress:(version = 3) path in
+            check_int "zero words" 0 (Tracefile.close_writer w)
+          end;
           check "empty load" true (Tracefile.load path = [||]);
           ignore
             (Tracefile.fold_words path ~init:()
@@ -2015,7 +2071,14 @@ let test_backward_compat_fixtures () =
            ~f:(fun () c ~len -> folded := Array.sub c 0 len :: !folded));
       check (Printf.sprintf "v%d fixture folds identically" version) true
         (Array.concat (List.rev !folded) = fixture_words))
-    [ ("fixture_v1.strc", 1); ("fixture_v2.strc", 2); ("fixture_v3.strc", 3) ]
+    [ ("fixture_v1.strc", 1); ("fixture_v2.strc", 2); ("fixture_v3.strc", 3) ];
+  (* the test suite's v2 writer reproduces the checked-in v2 fixture, so
+     the random v2 files it draws are the real format *)
+  with_temp (fun path ->
+      write_v2 path fixture_words;
+      Alcotest.(check string)
+        "write_v2 == v2 fixture bytes" (read_file "fixture_v2.strc")
+        (read_file path))
 
 let tests =
   tests

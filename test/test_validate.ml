@@ -29,7 +29,8 @@ let test_matrix_determinism () =
 
 (* ------------------------------------------------------------------ *)
 (* Multi-configuration sweep on a REAL captured trace: Memsim.sweep must
-   be byte-identical to independent single-configuration replays, with
+   be byte-identical to independent runs of the single-configuration
+   reference model (Test_tracesim.Memsim_ref), with
    chunk-split boundaries through the Sink interface chosen differently
    on each side, on both a clean and a fault-injected trace. *)
 
@@ -100,15 +101,20 @@ let sweep_vs_singles ~recover ~rng_seed b words cfgs =
   List.iteri
     (fun i cfg ->
       let p = mk_parser ~recover b in
-      let m = Memsim.create cfg in
-      let sink = Memsim.sink m p in
+      let m = Test_tracesim.Memsim_ref.create cfg in
+      Systrace_tracing.Parser.set_handlers p
+        {
+          Systrace_tracing.Parser.on_inst = Test_tracesim.Memsim_ref.on_inst m;
+          on_data = Test_tracesim.Memsim_ref.on_data m;
+        };
       feed_random_chunks
         ~rng:(Systrace_util.Rng.create (rng_seed + 101 + i))
-        sink words;
+        (Systrace_tracing.Sink.to_parser p)
+        words;
       Alcotest.(check bool)
         (Printf.sprintf "config %d: sweep stats == single-config stats" i)
         true
-        (Memsim.stats m = swept.(i)))
+        (Test_tracesim.Memsim_ref.stats m = swept.(i)))
     cfgs
 
 let test_sweep_real_trace () =
