@@ -503,16 +503,9 @@ let exp_micro () =
              ignore (replay ~system:run.system ~memsim_cfg:base_cfg words)))
     in
     (* trace parsing alone, without the memory simulation behind it *)
-    let parse_only =
-      let sys = run.system in
-      let kernel_bbs = Option.get sys.Systrace_kernel.Builder.kernel_bbs in
-      fun () ->
-        let p = Tracing.Parser.create ~kernel_bbs () in
-        List.iter
-          (fun (pi : Systrace_kernel.Builder.proc_info) ->
-            Tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-          sys.Systrace_kernel.Builder.procs;
-        Tracing.Parser.feed p words ~len:(Array.length words)
+    let parse_only () =
+      let p = Systrace_kernel.Builder.parser run.system in
+      Tracing.Parser.feed p words ~len:(Array.length words)
     in
     let parse_only_test =
       Test.make ~name:"tracing: parse trace" (Staged.stage parse_only)

@@ -73,6 +73,16 @@ let find_workload name =
 
 let os_of = function Validate.Ultrix -> Ultrix | Validate.Mach -> Mach
 
+(* The traced system a stored trace of workload [name] was captured on
+   (deterministic for a given workload, os and seed), built but not run:
+   its block tables and page map are what the offline commands read the
+   trace against. *)
+let traced_system name os seed =
+  Validate.build ~seed
+    ~cfg:{ Systrace_kernel.Builder.default_config with traced = true }
+    os
+    (Experiments.spec_of (find_workload name))
+
 (* ------------------------------------------------------------------ *)
 
 let list_cmd =
@@ -209,12 +219,8 @@ let profile_cmd =
     let cfg =
       {
         Systrace_kernel.Builder.default_config with
-        Systrace_kernel.Builder.personality =
-          (match os with Validate.Ultrix -> Systrace_kernel.Kcfg.Ultrix
-                       | Validate.Mach -> Systrace_kernel.Kcfg.Mach);
-        machine_cfg =
+        Systrace_kernel.Builder.machine_cfg =
           { Machine.Machine.default_config with Machine.Machine.count_exec = true };
-        seed;
       }
     in
     let sys =
@@ -287,17 +293,10 @@ let profile_cmd =
 let validate_cmd =
   let run name os seed tier =
     let e = find_workload name in
-    let spec =
-      {
-        Validate.wname = e.Workloads.Suite.name;
-        files = e.Workloads.Suite.files;
-        programs = [ e.Workloads.Suite.program () ];
-      }
-    in
     let row =
       Validate.run_workload
         ~machine_cfg:(machine_cfg_of tier)
-        ~seed os spec
+        ~seed os (Experiments.spec_of e)
     in
     let m = row.Validate.r_measured and p = row.Validate.r_predicted in
     Printf.printf "%s under %s:\n" name (Validate.os_name os);
@@ -405,34 +404,7 @@ let analyze_cmd =
      file — the trace is decoded chunk by chunk, never materialized, so
      traces larger than memory replay fine. *)
   let run name os seed file =
-    let e = find_workload name in
-    let open Systrace_kernel in
-    let cfg =
-      {
-        Builder.default_config with
-        Builder.traced = true;
-        seed;
-        personality =
-          (match os with Validate.Ultrix -> Kcfg.Ultrix
-                       | Validate.Mach -> Kcfg.Mach);
-        pagemap =
-          (match os with Validate.Ultrix -> Kcfg.Careful
-                       | Validate.Mach -> Kcfg.Random);
-      }
-    in
-    let programs =
-      match os with
-      | Validate.Ultrix -> [ e.Workloads.Suite.program () ]
-      | Validate.Mach ->
-        [
-          Builder.program ~is_server:true "uxserver"
-            [ Workloads.Ux_server.make
-                ~file_plan:(Builder.file_plan e.Workloads.Suite.files) ();
-              Workloads.Userlib.make () ];
-          e.Workloads.Suite.program ();
-        ]
-    in
-    let sys = Builder.build ~cfg ~programs ~files:e.Workloads.Suite.files () in
+    let sys = traced_system name os seed in
     let mem, parse =
       try
         replay_file ~system:sys ~memsim_cfg:(default_memsim_cfg ~system:sys)
@@ -469,34 +441,7 @@ let sweep_cmd =
      buffer state from the shared decode, so the grid costs about one
      replay instead of one per configuration. *)
   let run name os seed file sizes lines tlbs wbs flat jobs =
-    let e = find_workload name in
-    let open Systrace_kernel in
-    let cfg =
-      {
-        Builder.default_config with
-        Builder.traced = true;
-        seed;
-        personality =
-          (match os with Validate.Ultrix -> Kcfg.Ultrix
-                       | Validate.Mach -> Kcfg.Mach);
-        pagemap =
-          (match os with Validate.Ultrix -> Kcfg.Careful
-                       | Validate.Mach -> Kcfg.Random);
-      }
-    in
-    let programs =
-      match os with
-      | Validate.Ultrix -> [ e.Workloads.Suite.program () ]
-      | Validate.Mach ->
-        [
-          Builder.program ~is_server:true "uxserver"
-            [ Workloads.Ux_server.make
-                ~file_plan:(Builder.file_plan e.Workloads.Suite.files) ();
-              Workloads.Userlib.make () ];
-          e.Workloads.Suite.program ();
-        ]
-    in
-    let sys = Builder.build ~cfg ~programs ~files:e.Workloads.Suite.files () in
+    let sys = traced_system name os seed in
     let base = default_memsim_cfg ~system:sys in
     let grid =
       try
@@ -594,43 +539,11 @@ let check_cmd =
       match workload with
       | None -> None
       | Some name ->
-        let e = find_workload name in
-        let open Systrace_kernel in
-        let cfg =
-          {
-            Builder.default_config with
-            Builder.traced = true;
-            seed;
-            personality =
-              (match os with Validate.Ultrix -> Kcfg.Ultrix
-                           | Validate.Mach -> Kcfg.Mach);
-            pagemap =
-              (match os with Validate.Ultrix -> Kcfg.Careful
-                           | Validate.Mach -> Kcfg.Random);
-          }
-        in
-        let programs =
-          match os with
-          | Validate.Ultrix -> [ e.Workloads.Suite.program () ]
-          | Validate.Mach ->
-            [
-              Builder.program ~is_server:true "uxserver"
-                [ Workloads.Ux_server.make
-                    ~file_plan:(Builder.file_plan e.Workloads.Suite.files) ();
-                  Workloads.Userlib.make () ];
-              e.Workloads.Suite.program ();
-            ]
-        in
-        let sys = Builder.build ~cfg ~programs ~files:e.Workloads.Suite.files () in
-        let p =
-          Tracing.Parser.create ~recover:true
-            ~kernel_bbs:(Option.get sys.Builder.kernel_bbs) ()
-        in
-        List.iter
-          (fun (pi : Builder.proc_info) ->
-            Tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-          sys.Builder.procs;
-        Some (name, p, Builder.server_pids sys)
+        let sys = traced_system name os seed in
+        Some
+          ( name,
+            Systrace_kernel.Builder.parser ~recover:true sys,
+            Systrace_kernel.Builder.server_pids sys )
     in
     let c = Tracing.Parser.scanner () in
     let feed n ws ~len =
@@ -832,44 +745,10 @@ let serve_cmd =
      only read by the per-stream parsers, so sharing them across worker
      domains is safe. *)
   let parse_factory name os seed =
-    let e = find_workload name in
+    let sys = traced_system name os seed in
     let open Systrace_kernel in
-    let cfg =
-      {
-        Builder.default_config with
-        Builder.traced = true;
-        seed;
-        personality =
-          (match os with Validate.Ultrix -> Kcfg.Ultrix
-                       | Validate.Mach -> Kcfg.Mach);
-        pagemap =
-          (match os with Validate.Ultrix -> Kcfg.Careful
-                       | Validate.Mach -> Kcfg.Random);
-      }
-    in
-    let programs =
-      match os with
-      | Validate.Ultrix -> [ e.Workloads.Suite.program () ]
-      | Validate.Mach ->
-        [
-          Builder.program ~is_server:true "uxserver"
-            [ Workloads.Ux_server.make
-                ~file_plan:(Builder.file_plan e.Workloads.Suite.files) ();
-              Workloads.Userlib.make () ];
-          e.Workloads.Suite.program ();
-        ]
-    in
-    let sys = Builder.build ~cfg ~programs ~files:e.Workloads.Suite.files () in
     Serve.Server.to_parser_pipeline ~live:(Builder.server_pids sys) (fun () ->
-        let p =
-          Tracing.Parser.create ~recover:true
-            ~kernel_bbs:(Option.get sys.Builder.kernel_bbs) ()
-        in
-        List.iter
-          (fun (pi : Builder.proc_info) ->
-            Tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-          sys.Builder.procs;
-        p)
+        Builder.parser ~recover:true sys)
   in
   let run unix_path tcp_port_opt ctl_path workers queue_slots slot_words lossy
       pipeline workload os seed send connect do_stats do_shutdown =

@@ -114,7 +114,12 @@ type traced_run = {
     [on_event] — exactly the analysis-program position of Figure 1.
 
     Programs are built from the assembler eDSL ({!Isa.Asm}); link them
-    against {!Workloads.Userlib} for the system-call wrappers.
+    against {!Workloads.Userlib} for the system-call wrappers.  A
+    program made with [Builder.program ~notrace:true] runs uninstrumented
+    beside the traced ones (selective tracing, §3.1): the kernel's
+    activity on its behalf is traced, its own user references are not.
+    The system is {!Validate.build}'s, so it matches the one
+    {!Validate.predict} traces for the same programs.
 
     [?sink] attaches a streaming consumer ({!Tracing.Sink}) to the raw
     word stream: it receives each ANALYZE phase's chunk before the
@@ -129,42 +134,11 @@ let run_traced ?(os = Ultrix) ?(seed = 1) ?(on_event = fun (_ : event) -> ())
     (programs : Systrace_kernel.Builder.program list)
     (files : Systrace_kernel.Builder.file_spec list) : traced_run =
   let open Systrace_kernel in
-  let cfg =
-    {
-      config with
-      Builder.traced = true;
-      seed;
-      personality = (match os with Ultrix -> Kcfg.Ultrix | Mach -> Kcfg.Mach);
-      pagemap = (match os with Ultrix -> Kcfg.Careful | Mach -> Kcfg.Random);
-    }
+  let t =
+    Validate.build ~seed ~cfg:{ config with Builder.traced = true } os
+      { Validate.wname = ""; files; programs }
   in
-  let programs =
-    match os with
-    | Ultrix -> programs
-    | Mach ->
-      {
-        Builder.pname = "uxserver";
-        modules =
-          [
-            Systrace_workloads.Ux_server.make
-              ~file_plan:(Builder.file_plan files) ();
-            Systrace_workloads.Userlib.make ();
-          ];
-        heap_pages = 4;
-        is_server = true;
-        notrace = false;
-      }
-      :: programs
-  in
-  let t = Builder.build ~cfg ~programs ~files () in
-  let parser =
-    Systrace_tracing.Parser.create ~kernel_bbs:(Option.get t.Builder.kernel_bbs) ()
-  in
-  List.iter
-    (fun (pi : Builder.proc_info) ->
-      Systrace_tracing.Parser.register_pid parser ~pid:pi.pid
-        (Option.get pi.bbs))
-    t.Builder.procs;
+  let parser = Builder.parser t in
   Systrace_tracing.Parser.set_handlers parser
     {
       Systrace_tracing.Parser.on_inst =
@@ -179,9 +153,7 @@ let run_traced ?(os = Ultrix) ?(seed = 1) ?(on_event = fun (_ : event) -> ())
         on_words words len;
         sink.Systrace_tracing.Sink.on_words words ~len;
         Systrace_tracing.Parser.feed parser words ~len);
-  (match Builder.run t ~max_insns:2_000_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "Systrace.run_traced: no halt");
+  Builder.run_to_halt t;
   Builder.drain_final t;
   sink.Systrace_tracing.Sink.finish ();
   Systrace_tracing.Parser.finish ~live:(Builder.server_pids t) parser;
@@ -201,37 +173,11 @@ let run_measured ?(os = Ultrix) ?(seed = 1)
     (files : Systrace_kernel.Builder.file_spec list) :
     Systrace_kernel.Builder.t =
   let open Systrace_kernel in
-  let cfg =
-    {
-      config with
-      Builder.traced = false;
-      seed;
-      personality = (match os with Ultrix -> Kcfg.Ultrix | Mach -> Kcfg.Mach);
-      pagemap = (match os with Ultrix -> Kcfg.Careful | Mach -> Kcfg.Random);
-    }
+  let t =
+    Validate.build ~seed ~cfg:{ config with Builder.traced = false } os
+      { Validate.wname = ""; files; programs }
   in
-  let programs =
-    match os with
-    | Ultrix -> programs
-    | Mach ->
-      {
-        Builder.pname = "uxserver";
-        modules =
-          [
-            Systrace_workloads.Ux_server.make
-              ~file_plan:(Builder.file_plan files) ();
-            Systrace_workloads.Userlib.make ();
-          ];
-        heap_pages = 4;
-        is_server = true;
-        notrace = false;
-      }
-      :: programs
-  in
-  let t = Builder.build ~cfg ~programs ~files () in
-  (match Builder.run t ~max_insns:2_000_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "Systrace.run_measured: no halt");
+  Builder.run_to_halt t;
   t
 
 (** Capture a traced run's raw in-kernel trace words as well as parsing
@@ -265,16 +211,7 @@ let replay_sweep_sink ~(system : Systrace_kernel.Builder.t)
       Systrace_tracesim.Memsim.stats array
       * (int * int) array
       * Systrace_tracing.Parser.stats) =
-  let open Systrace_kernel in
-  let parser =
-    Systrace_tracing.Parser.create
-      ~kernel_bbs:(Option.get system.Builder.kernel_bbs) ()
-  in
-  List.iter
-    (fun (pi : Builder.proc_info) ->
-      Systrace_tracing.Parser.register_pid parser ~pid:pi.pid
-        (Option.get pi.bbs))
-    system.Builder.procs;
+  let parser = Systrace_kernel.Builder.parser system in
   let sw = Systrace_tracesim.Memsim.sweep memsim_cfgs in
   Systrace_tracing.Parser.set_handlers parser
     (Systrace_tracesim.Memsim.sweep_handlers sw);
@@ -355,22 +292,6 @@ let replay_file ~(system : Systrace_kernel.Builder.t)
     {!replay} studies that vary one parameter at a time. *)
 let default_memsim_cfg ~(system : Systrace_kernel.Builder.t) :
     Systrace_tracesim.Memsim.config =
-  let mcfg = system.Systrace_kernel.Builder.cfg.Systrace_kernel.Builder.machine_cfg in
-  {
-    Systrace_tracesim.Memsim.icache_bytes =
-      mcfg.Systrace_machine.Machine.icache_bytes;
-    icache_line = mcfg.Systrace_machine.Machine.icache_line;
-    icache_ways = 1;
-    dcache_bytes = mcfg.Systrace_machine.Machine.dcache_bytes;
-    dcache_line = mcfg.Systrace_machine.Machine.dcache_line;
-    dcache_ways = 1;
-    read_miss_penalty = mcfg.Systrace_machine.Machine.read_miss_penalty;
-    uncached_penalty = mcfg.Systrace_machine.Machine.uncached_penalty;
-    wb_depth = mcfg.Systrace_machine.Machine.wb_depth;
-    wb_drain = mcfg.Systrace_machine.Machine.wb_drain;
-    pagemap = Systrace_kernel.Builder.extract_pagemap system;
-    pt_base = Systrace_kernel.Kcfg.pt_base_va;
-    utlb_handler_insns = 8;
-    ktlb_handler_insns = 24;
-    tlb_entries = 64;
-  }
+  Validate.memsim_cfg
+    ~pagemap:(Systrace_kernel.Builder.extract_pagemap system)
+    system.Systrace_kernel.Builder.cfg.Systrace_kernel.Builder.machine_cfg

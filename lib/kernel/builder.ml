@@ -582,6 +582,24 @@ let run t ~max_insns =
   (match t.panic with Some msg -> raise (Panic msg) | None -> ());
   r
 
+let run_to_halt t =
+  match run t ~max_insns:2_000_000_000 with
+  | Machine.Halt -> ()
+  | Machine.Limit ->
+    failwith "Builder.run_to_halt: system did not halt within 2e9 instructions"
+
+(* Processes without a table ran uninstrumented (§3.1 selective tracing):
+   they write no user trace, so the parser never needs one for them. *)
+let parser ?recover t =
+  match t.kernel_bbs with
+  | None -> invalid_arg "Builder.parser: untraced system"
+  | Some kernel_bbs ->
+    let p = Parser.create ?recover ~kernel_bbs () in
+    List.iter
+      (fun pi -> Option.iter (Parser.register_pid p ~pid:pi.pid) pi.bbs)
+      t.procs;
+    p
+
 (* Hand any trace left in the in-kernel buffer to the sink (end of run),
    in [analysis_chunk]-sized pieces like the ANALYZE hcall path — so peak
    resident trace words stays O(chunk) even when the whole run fits the

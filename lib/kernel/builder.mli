@@ -20,7 +20,8 @@ type program = {
   is_server : bool;  (** the Mach UX server *)
   notrace : bool;
       (** run uninstrumented even on a traced system (§3.1: "pick and
-          choose the processes to be traced") *)
+          choose the processes to be traced"); such a process has no
+          block table, and {!parser} skips it *)
 }
 
 val program :
@@ -98,7 +99,20 @@ val build :
   ?cfg:config -> programs:program list -> files:file_spec list -> unit -> t
 
 val run : t -> max_insns:int -> Machine.stop_reason
-(** Raises {!Panic} if the kernel panicked. *)
+(** Run at most [max_insns] instructions.  Raises {!Panic} if the kernel
+    panicked. *)
+
+val run_to_halt : t -> unit
+(** Run the whole system to completion: {!run} with a budget of 2e9
+    instructions, failing if the system has not halted by then.  Every
+    whole-workload run goes through this. *)
+
+val parser : ?recover:bool -> t -> Parser.t
+(** A fresh trace parser over this traced system's block tables: the
+    kernel's, plus every process that has one.  A [notrace] process
+    (selective tracing, §3.1) has no table and is skipped — it writes no
+    user trace.  [recover] is passed to {!Systrace_tracing.Parser.create}.
+    @raise Invalid_argument on an untraced system. *)
 
 val drain_final : t -> unit
 (** Hand any trace remaining in the in-kernel buffer to the sink. *)

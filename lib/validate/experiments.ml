@@ -339,17 +339,8 @@ let buffer_sweep_table ?(wname = "compress") ?(jobs = 1) () =
             analysis_chunk = 8192;
           }
         in
-        let b =
-          Builder.build ~cfg ~programs:[ e.Suite.program () ]
-            ~files:e.Suite.files ()
-        in
-        let kernel_bbs = Option.get b.Builder.kernel_bbs in
-        let p = Systrace_tracing.Parser.create ~kernel_bbs () in
-        List.iter
-          (fun (pi : Builder.proc_info) ->
-            Systrace_tracing.Parser.register_pid p ~pid:pi.pid
-              (Option.get pi.bbs))
-          b.Builder.procs;
+        let b = Validate.build ~cfg Validate.Ultrix (spec_of e) in
+        let p = Builder.parser b in
         let counter, words = Systrace_tracing.Sink.counting () in
         let sink =
           Systrace_tracing.Sink.tee
@@ -357,9 +348,7 @@ let buffer_sweep_table ?(wname = "compress") ?(jobs = 1) () =
         in
         b.Builder.trace_sink <-
           Some (fun ws len -> sink.Systrace_tracing.Sink.on_words ws ~len);
-        (match Builder.run b ~max_insns:2_000_000_000 with
-        | Systrace_machine.Machine.Halt -> ()
-        | Systrace_machine.Machine.Limit -> failwith "buffer sweep: no halt");
+        Builder.run_to_halt b;
         Builder.drain_final b;
         sink.Systrace_tracing.Sink.finish ();
         let stats = Systrace_tracing.Parser.stats p in
@@ -420,7 +409,7 @@ let pagemap_table ?(wname = "tomcatv") ?(nseeds = 4) ?(jobs = 1) () =
   let times =
     Pool.map ~jobs
       (fun (policy, seed) ->
-        (Validate.measure_with ~machine_cfg:mcfg ~pagemap:policy ~seed
+        (Validate.measure ~machine_cfg:mcfg ~pagemap:policy ~seed
            Validate.Ultrix spec)
           .Validate.m_seconds)
       cells
@@ -471,13 +460,8 @@ let distortion_table ?(wnames = [ "egrep"; "compress"; "eqntott" ]) () =
       let e = Suite.find wname in
       let run traced =
         let cfg = { Builder.default_config with Builder.traced } in
-        let b =
-          Builder.build ~cfg ~programs:[ e.Suite.program () ]
-            ~files:e.Suite.files ()
-        in
-        (match Builder.run b ~max_insns:2_000_000_000 with
-        | Systrace_machine.Machine.Halt -> ()
-        | Systrace_machine.Machine.Limit -> failwith "distortion: no halt");
+        let b = Validate.build ~cfg Validate.Ultrix (spec_of e) in
+        Builder.run_to_halt b;
         b
       in
       let bu = run false and bt = run true in
@@ -509,53 +493,38 @@ let distortion_table ?(wnames = [ "egrep"; "compress"; "eqntott" ]) () =
    Quantify it: corrupt one random word of a captured trace per trial and
    count how often the parsing library's defensive checks catch it. *)
 
-let corruption_table ?(wname = "egrep") ?(trials = 300) ?(seed = 7) () =
-  let e = Suite.find wname in
-  (* capture the trace once *)
+(* [e] traced under Ultrix and run to halt; its whole trace captured. *)
+let capture_traced (e : Suite.entry) =
   let cfg = { Builder.default_config with Builder.traced = true } in
-  let b =
-    Builder.build ~cfg ~programs:[ e.Suite.program () ] ~files:e.Suite.files ()
-  in
+  let b = Validate.build ~cfg Validate.Ultrix (spec_of e) in
   let capture, trace = Systrace_tracing.Sink.to_array () in
   b.Builder.trace_sink <-
     Some (fun ws len -> capture.Systrace_tracing.Sink.on_words ws ~len);
-  (match Builder.run b ~max_insns:2_000_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "corruption: no halt");
+  Builder.run_to_halt b;
   Builder.drain_final b;
-  let words = trace () in
-  let kernel_bbs = Option.get b.Builder.kernel_bbs in
-  let user_bbs =
-    List.filter_map (fun (p : Builder.proc_info) -> p.bbs) b.Builder.procs
-  in
+  (b, trace ())
+
+let corruption_table ?(wname = "egrep") ?(trials = 300) ?(seed = 7) () =
+  let e = Suite.find wname in
+  (* capture the trace once *)
+  let b, words = capture_traced e in
   (* Two lines of defence, as in §4.3: the format's structural redundancy
      (parser [Corrupt]) and analysis-level sanity checks — references to
      unmapped pages in the simulator flag "erroneous writes" whose
      structure happened to parse. *)
   let pagemap = Builder.extract_pagemap b in
   let parse ws =
-    let p = Systrace_tracing.Parser.create ~kernel_bbs () in
-    List.iteri
-      (fun pid bbs -> Systrace_tracing.Parser.register_pid p ~pid bbs)
-      user_bbs;
+    let p = Builder.parser b in
     let sw =
       Systrace_tracesim.Memsim.sweep
         [ {
+          (Validate.memsim_cfg ~pagemap Systrace_machine.Machine.default_config)
+          with
           Systrace_tracesim.Memsim.icache_bytes = 4096;
-          icache_line = 16;
-          icache_ways = 1;
           dcache_bytes = 4096;
-          dcache_line = 4;
-          dcache_ways = 1;
           read_miss_penalty = 0;
           uncached_penalty = 0;
-          wb_depth = 4;
           wb_drain = 0;
-          pagemap;
-          pt_base = Kcfg.pt_base_va;
-          utlb_handler_insns = 8;
-          ktlb_handler_insns = 24;
-          tlb_entries = 64;
         } ]
     in
     Systrace_tracing.Parser.set_handlers p
@@ -648,28 +617,12 @@ let faults_table ?(wname = "egrep") ?(trials = 40) ?(seed = 11)
   let module F = Systrace_tracing.Faults in
   let e = Suite.find wname in
   (* capture the trace once *)
-  let cfg = { Builder.default_config with Builder.traced = true } in
-  let b =
-    Builder.build ~cfg ~programs:[ e.Suite.program () ] ~files:e.Suite.files ()
-  in
-  let capture, trace = Systrace_tracing.Sink.to_array () in
-  b.Builder.trace_sink <-
-    Some (fun ws len -> capture.Systrace_tracing.Sink.on_words ws ~len);
-  (match Builder.run b ~max_insns:2_000_000_000 with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "faults: no halt");
-  Builder.drain_final b;
-  let words = trace () in
-  let kernel_bbs = Option.get b.Builder.kernel_bbs in
-  let user_bbs =
-    List.filter_map (fun (p : Builder.proc_info) -> p.bbs) b.Builder.procs
-  in
+  let b, words = capture_traced e in
   (* Parse [ws], fingerprinting the reconstructed reference stream so
      "identical to the clean run" is checkable exactly.  Returns
      (strict_raised, diagnoses, refs, fingerprint, stats). *)
   let run_parse ~recover ws =
-    let p = P.create ~recover ~kernel_bbs () in
-    List.iteri (fun pid bbs -> P.register_pid p ~pid bbs) user_bbs;
+    let p = Builder.parser ~recover b in
     let h = ref 0 in
     let refs = ref 0 in
     let mix v = h := ((!h * 1000003) + v) land max_int in
@@ -791,37 +744,16 @@ let drain_ablation_table ?(wname = "sed") () =
         drain_on_entry;
       }
     in
-    let b =
-      Builder.build ~cfg
-        ~programs:[ e.Suite.program () ]
-        ~files:e.Suite.files ()
-    in
-    let p =
-      Systrace_tracing.Parser.create
-        ~kernel_bbs:(Option.get b.Builder.kernel_bbs) ()
-    in
-    List.iter
-      (fun (pi : Builder.proc_info) ->
-        Systrace_tracing.Parser.register_pid p ~pid:pi.pid (Option.get pi.bbs))
-      b.Builder.procs;
+    let b = Validate.build ~cfg Validate.Ultrix (spec_of e) in
+    let p = Builder.parser b in
     let sw =
       Systrace_tracesim.Memsim.sweep
         [ {
-          Systrace_tracesim.Memsim.icache_bytes = 16384;
-          icache_line = 16;
-          icache_ways = 1;
-          dcache_bytes = 16384;
-          dcache_line = 4;
-          dcache_ways = 1;
-          read_miss_penalty = 15;
-          uncached_penalty = 6;
-          wb_depth = 4;
+          (Validate.memsim_cfg ~pagemap:(fun _ _ -> -1)
+             Systrace_machine.Machine.default_config)
+          with
+          Systrace_tracesim.Memsim.uncached_penalty = 6;
           wb_drain = 5;
-          pagemap = (fun _ _ -> -1);
-          pt_base = Kcfg.pt_base_va;
-          utlb_handler_insns = 8;
-          ktlb_handler_insns = 24;
-          tlb_entries = 64;
         } ]
     in
     (* virtual-indexed stand-in map (identity-ish): the page map is only
@@ -830,9 +762,7 @@ let drain_ablation_table ?(wname = "sed") () =
     let sink = Systrace_tracesim.Memsim.sweep_sink sw p in
     b.Builder.trace_sink <-
       Some (fun ws len -> sink.Systrace_tracing.Sink.on_words ws ~len);
-    (match Builder.run b ~max_insns:2_000_000_000 with
-    | Systrace_machine.Machine.Halt -> ()
-    | Systrace_machine.Machine.Limit -> failwith "drain ablation: no halt");
+    Builder.run_to_halt b;
     Builder.drain_final b;
     sink.Systrace_tracing.Sink.finish ();
     (String.trim (Builder.console b),

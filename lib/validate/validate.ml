@@ -55,55 +55,48 @@ type prediction = {
   p_peak_words : int;        (* largest ANALYZE chunk: peak resident words *)
 }
 
-let base_cfg os pagemap seed =
-  {
-    Builder.default_config with
-    Builder.personality = (match os with Ultrix -> Kcfg.Ultrix | Mach -> Kcfg.Mach);
-    pagemap =
-      (match pagemap with
-      | Some p -> p
-      | None -> (match os with Ultrix -> Kcfg.Careful | Mach -> Kcfg.Random));
-    seed;
-  }
-
-let all_programs os spec =
-  match os with
-  | Ultrix -> spec.programs
-  | Mach ->
-    let server =
-      {
-        Builder.pname = "uxserver";
-        modules =
-          [
-            Systrace_workloads.Ux_server.make
-              ~file_plan:(Builder.file_plan spec.files) ();
-            Systrace_workloads.Userlib.make ();
-          ];
-        heap_pages = 4;
-        is_server = true;
-        notrace = false;
-      }
-    in
-    server :: spec.programs
-
-let max_insns = 2_000_000_000
-
-let run_to_halt t =
-  match Builder.run t ~max_insns with
-  | Systrace_machine.Machine.Halt -> ()
-  | Systrace_machine.Machine.Limit -> failwith "validate: system did not halt"
+(* The personality policy, in one place: the os picks the kernel
+   personality and the default page-mapping policy (careful under Ultrix,
+   random under Mach, as each system allocated frames), and under Mach
+   the UX server boots ahead of the workload's programs. *)
+let build ?pagemap ?(seed = 1) ~cfg os spec =
+  let personality, default_pagemap =
+    match os with
+    | Ultrix -> (Kcfg.Ultrix, Kcfg.Careful)
+    | Mach -> (Kcfg.Mach, Kcfg.Random)
+  in
+  let cfg =
+    {
+      cfg with
+      Builder.personality;
+      pagemap = Option.value pagemap ~default:default_pagemap;
+      seed;
+    }
+  in
+  let programs =
+    match os with
+    | Ultrix -> spec.programs
+    | Mach ->
+      Builder.program ~is_server:true "uxserver"
+        [
+          Systrace_workloads.Ux_server.make
+            ~file_plan:(Builder.file_plan spec.files) ();
+          Systrace_workloads.Userlib.make ();
+        ]
+      :: spec.programs
+  in
+  Builder.build ~cfg ~programs ~files:spec.files ()
 
 (* ------------------------------------------------------------------ *)
 
-let measured_system ?pagemap ?machine_cfg ?(seed = 1) os spec =
-  let cfg = base_cfg os pagemap seed in
+let measured_system ?pagemap ?machine_cfg ?seed os spec =
   let cfg =
     match machine_cfg with
-    | Some m -> { cfg with Builder.machine_cfg = m }
-    | None -> cfg
+    | Some m -> { Builder.default_config with Builder.machine_cfg = m }
+    | None -> Builder.default_config
   in
-  let t = Builder.build ~cfg ~programs:(all_programs os spec) ~files:spec.files () in
-  run_to_halt t;
+  let t = build ?pagemap ?seed ~cfg os spec in
+  Builder.run_to_halt t;
   t
 
 let measure ?pagemap ?machine_cfg ?seed os spec : measurement =
@@ -124,11 +117,8 @@ let measure ?pagemap ?machine_cfg ?seed os spec : measurement =
         };
     }
   in
-  let ti =
-    Builder.build ~cfg:ideal_cfg ~programs:(all_programs os spec)
-      ~files:spec.files ()
-  in
-  run_to_halt ti;
+  let ti = build ?pagemap ?seed ~cfg:ideal_cfg os spec in
+  Builder.run_to_halt ti;
   {
     m_cycles = t.Builder.machine.Systrace_machine.Machine.cycles;
     m_seconds =
@@ -172,20 +162,15 @@ let memsim_cfg ~pagemap (mcfg : Systrace_machine.Machine.config) =
 
 let predict_sweep ?pagemap ?(seed = 1) ?(arith_stalls = -1) ?geometries os
     spec : prediction array =
-  let cfg = { (base_cfg os pagemap seed) with Builder.traced = true } in
+  let cfg = { Builder.default_config with Builder.traced = true } in
   let geometries =
     match geometries with
     | Some [] -> invalid_arg "predict_sweep: no geometries"
     | Some gs -> gs
     | None -> [ cfg.Builder.machine_cfg ]
   in
-  let t = Builder.build ~cfg ~programs:(all_programs os spec) ~files:spec.files () in
-  let kernel_bbs = Option.get t.Builder.kernel_bbs in
-  let parser = Parser.create ~kernel_bbs () in
-  List.iter
-    (fun (pi : Builder.proc_info) ->
-      Parser.register_pid parser ~pid:pi.pid (Option.get pi.bbs))
-    t.Builder.procs;
+  let t = build ?pagemap ~seed ~cfg os spec in
+  let parser = Builder.parser t in
   (* one extracted page map, shared (by reference) across every geometry:
      the sweep translates each trace word once *)
   let shared_pagemap = Builder.extract_pagemap t in
@@ -202,7 +187,7 @@ let predict_sweep ?pagemap ?(seed = 1) ?(arith_stalls = -1) ?geometries os
   let peak_sink, peak_words = Sink.peak () in
   let sink = Sink.tee [ peak_sink; Memsim.sweep_sink ~live sw parser ] in
   t.Builder.trace_sink <- Some (fun words len -> sink.Sink.on_words words ~len);
-  run_to_halt t;
+  Builder.run_to_halt t;
   Builder.drain_final t;
   sink.Sink.finish ();
   (* The arithmetic-stall estimate comes from the caller (usually the
@@ -294,11 +279,6 @@ let run_workload_sweep ?pagemap ?(seed = 1) ~geometries os spec : row list =
 let percent_error row =
   Systrace_util.Stats.percent_error ~measured:row.r_measured.m_seconds
     ~predicted:row.r_predicted.p_breakdown.Predict.seconds
-
-(* [measure] with a non-default machine configuration (cache-geometry
-   studies). *)
-let measure_with ~machine_cfg ?pagemap ?(seed = 1) os spec =
-  measure ~machine_cfg ?pagemap ~seed os spec
 
 (* Time-dilation factor actually achieved by instrumentation (§4.1). *)
 let dilation row =

@@ -18,7 +18,7 @@ type spec = {
   wname : string;
   files : Builder.file_spec list;
   programs : Builder.program list;
-      (** excluding the UX server, which the harness adds under Mach *)
+      (** excluding the UX server, which {!build} adds under Mach *)
 }
 
 type measurement = {
@@ -50,6 +50,19 @@ type prediction = {
           in-kernel buffer size rather than the trace length *)
 }
 
+val build :
+  ?pagemap:Kcfg.pagemap -> ?seed:int -> cfg:Builder.config -> os -> spec ->
+  Builder.t
+(** Workload [spec] booted under [os], built but not yet run: the one
+    owner of the personality policy.  Sets [cfg]'s personality, its seed
+    (default 1) and its page map ([pagemap], else the os's own policy:
+    careful under Ultrix, random under Mach), and under Mach puts the UX
+    server ahead of [spec]'s programs.  Everything else — traced or not,
+    buffer sizes, machine geometry — comes from [cfg].  Every path that
+    boots a workload (measured and predicted passes, the {!Systrace}
+    facade, the CLI's offline commands) builds its system here, so a
+    stored trace's tables and page map match the run that captured it. *)
+
 val measured_system :
   ?pagemap:Kcfg.pagemap ->
   ?machine_cfg:Systrace_machine.Machine.config ->
@@ -57,23 +70,28 @@ val measured_system :
   os ->
   spec ->
   Builder.t
-(** The MEASURED system: boot [spec] untraced under [os] (the UX server
-    added under Mach) and run it to halt. *)
+(** The MEASURED system: {!build} [spec] untraced under [os] and run it
+    to halt ({!Builder.run_to_halt}). *)
 
 val measure : ?pagemap:Kcfg.pagemap -> ?machine_cfg:Systrace_machine.Machine.config -> ?seed:int -> os -> spec -> measurement
+(** The measured pass: {!measured_system}'s ground-truth counters, plus
+    the arithmetic-stall estimate of a second, ideal-memory build of the
+    same system.  [machine_cfg] (default: the machine's base
+    configuration) varies the geometry for cache studies. *)
 
-val measure_with :
-  machine_cfg:Systrace_machine.Machine.config ->
-  ?pagemap:Kcfg.pagemap ->
-  ?seed:int ->
-  os ->
-  spec ->
-  measurement
+val memsim_cfg :
+  pagemap:(int -> int -> int) -> Systrace_machine.Machine.config ->
+  Memsim.config
+(** The memory-simulator configuration a machine geometry implies: its
+    caches (direct-mapped), miss penalties and write buffer, the 64-entry
+    TLB and the refill-handler costs, translating through [pagemap]
+    (usually {!Builder.extract_pagemap} of the traced system). *)
 
 val predict :
   ?pagemap:Kcfg.pagemap -> ?seed:int -> ?arith_stalls:int -> os -> spec ->
   prediction
-(** One traced pass, one prediction for the default machine geometry.
+(** One traced pass ({!build} with [traced = true], parsed online by a
+    {!Builder.parser}), one prediction for the default machine geometry.
     Implemented as a single-element {!predict_sweep}. *)
 
 val predict_sweep :

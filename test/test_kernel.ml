@@ -353,8 +353,46 @@ let test_selective_tracing () =
   check "traced process in trace" true (insts 0 > 100);
   check_int "untraced process absent from trace" 0 (insts 1)
 
+(* The same selective-tracing system through the facade: [run_traced]
+   and a [replay_sweep] of its captured words must both accept a process
+   that has no block table, and the notrace pid must get no user
+   references. *)
+let test_selective_tracing_facade () =
+  let traced_p = pingpong_prog ~name:"ping" ~tag:"a" ~rounds:4 () in
+  let untraced_p =
+    { (pingpong_prog ~name:"pong" ~tag:"b" ~rounds:4 ()) with
+      Builder.notrace = true }
+  in
+  let user_refs = Array.make 2 0 in
+  let count pid kernel =
+    if not kernel then user_refs.(pid) <- user_refs.(pid) + 1
+  in
+  let on_event = function
+    | Systrace.Inst { pid; kernel; _ } -> count pid kernel
+    | Systrace.Data { pid; kernel; _ } -> count pid kernel
+  in
+  let sink, words = Sink.to_array () in
+  let run =
+    Systrace.run_traced ~on_event ~sink [ traced_p; untraced_p ] []
+  in
+  check_int "both produced output" 8 (String.length run.Systrace.console);
+  check "ping's output" true (String.contains run.Systrace.console 'a');
+  check "pong's output" true (String.contains run.Systrace.console 'b');
+  check "traced process in trace" true (user_refs.(0) > 100);
+  check_int "notrace process gets no references" 0 user_refs.(1);
+  let system = run.Systrace.system in
+  let _, _, parse =
+    Systrace.replay_sweep ~system
+      ~memsim_cfgs:[ Systrace.default_memsim_cfg ~system ]
+      (words ())
+  in
+  check_int "replay parses every user instruction"
+    run.Systrace.parse_stats.Parser.user_insts parse.Parser.user_insts
+
 let tests = tests @ [
   Alcotest.test_case "selective tracing (3.1)" `Quick test_selective_tracing;
+  Alcotest.test_case "selective tracing through the facade" `Quick
+    test_selective_tracing_facade;
 ]
 
 let test_bad_syscall_returns_error () =
