@@ -15,8 +15,13 @@ type request = {
   complete_at : int;
 }
 
+(* The image is a table of blocks.  Every block never written is the one
+   shared, read-only [zero_block]; the first write to a block (host-side
+   or DMA) gives it its own bytes. *)
+type image = Bytes.t array
+
 type t = {
-  image : Bytes.t;
+  image : image;
   block_bytes : int;
   seek_cycles : int;
   per_block_cycles : int;
@@ -32,11 +37,12 @@ type t = {
 }
 
 let block_bytes = 4096
+let zero_block = Bytes.make block_bytes '\000'
 
 let create ?(blocks = 2048) ?(seek_cycles = 20000) ?(per_block_cycles = 4000)
     () =
   {
-    image = Bytes.make (blocks * block_bytes) '\000';
+    image = Array.make blocks zero_block;
     block_bytes;
     seek_cycles;
     per_block_cycles;
@@ -50,16 +56,44 @@ let create ?(blocks = 2048) ?(seek_cycles = 20000) ?(per_block_cycles = 4000)
     writes = 0;
   }
 
-let nblocks t = Bytes.length t.image / t.block_bytes
+let nblocks t = Array.length t.image
+
+(* Block [b] for writing, given its own bytes on its first write. *)
+let block_w t b =
+  let blk = t.image.(b) in
+  if blk != zero_block then blk
+  else begin
+    let blk = Bytes.make block_bytes '\000' in
+    t.image.(b) <- blk;
+    blk
+  end
+
+(* [f b o pos n] for each block piece of the [len] image bytes starting
+   [off] bytes into [block]: [n] bytes at offset [o] of block [b], the
+   [pos]th byte of the span onward. *)
+let iter_span t ~block ~off ~len f =
+  let a = (block * block_bytes) + off in
+  if a < 0 || len < 0 || a + len > nblocks t * block_bytes then
+    invalid_arg "Disk: span outside the image";
+  let pos = ref 0 in
+  while !pos < len do
+    let x = a + !pos in
+    let n = min (block_bytes - (x mod block_bytes)) (len - !pos) in
+    f (x / block_bytes) (x mod block_bytes) !pos n;
+    pos := !pos + n
+  done
 
 (* Host-side access to disk contents (setting up input files, reading
    outputs). *)
 let write_image t ~block ~off data =
-  Bytes.blit_string data 0 t.image ((block * t.block_bytes) + off)
-    (String.length data)
+  iter_span t ~block ~off ~len:(String.length data) (fun b o pos n ->
+      Bytes.blit_string data pos (block_w t b) o n)
 
 let read_image t ~block ~off ~len =
-  Bytes.sub_string t.image ((block * t.block_bytes) + off) len
+  let out = Bytes.create (max len 0) in
+  iter_span t ~block ~off ~len (fun b o pos n ->
+      Bytes.blit t.image.(b) o out pos n);
+  Bytes.unsafe_to_string out
 
 let busy t = List.length t.queue >= t.queue_depth
 
@@ -93,18 +127,20 @@ let submit t ~now ~is_write =
 let next_event t =
   match t.queue with [] -> max_int | r :: _ -> r.complete_at
 
-(* Process completions up to [now]: perform DMA against [mem]; returns the
-   number of requests that completed (each raises the interrupt line). *)
-let poll t ~now ~mem ~on_dma =
+(* Process completions up to [now], moving each block by DMA: [to_ram pa
+   blk] copies a block's bytes into memory at [pa], [from_ram pa blk]
+   fills a block from memory.  Returns the number of requests that
+   completed (each raises the interrupt line). *)
+let poll t ~now ~to_ram ~from_ram =
   let rec go n =
     match t.queue with
     | r :: rest when r.complete_at <= now ->
       t.queue <- rest;
-      let len = r.count * t.block_bytes in
-      let doff = r.block * t.block_bytes in
-      if r.is_write then Bytes.blit mem r.paddr t.image doff len
-      else Bytes.blit t.image doff mem r.paddr len;
-      on_dma ~paddr:r.paddr ~len;
+      for i = 0 to r.count - 1 do
+        let pa = r.paddr + (i * block_bytes) in
+        if r.is_write then from_ram pa (block_w t (r.block + i))
+        else to_ram pa t.image.(r.block + i)
+      done;
       t.done_blocks <- t.done_blocks @ [ r.block ];
       go (n + 1)
     | _ -> n

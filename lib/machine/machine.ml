@@ -155,21 +155,34 @@ let[@inline] tc_entry vpn pa cached =
    physical word address of the block entry; collisions just evict. *)
 let bcache_slots = 1 lsl 14
 
-(* Decode-cache pages: one slot array per 4 KB physical page. *)
-let dec_page_shift = Addr.page_shift - 2
-let dec_page_words = 1 lsl dec_page_shift
+(* Physical memory is a table of 4 KB pages.  Every page that was never
+   written is the one shared, read-only [zero_page]; the first write to
+   a page gives it its own bytes ([ram_page_w]).  A boot that writes a
+   few hundred pages of its 16 MB RAM pays for those pages only. *)
+type ram = Bytes.t array
+
+let zero_page = Bytes.make Addr.page_size '\000'
+
+(* Decode-cache pages: one slot array per 4 KB physical page, filled
+   with [undecoded] and stamped with the page's store generation when it
+   is (re)filled.  A page whose generation has moved since is stale as a
+   whole, so stores need not touch the decode cache at all. *)
+let dec_page_words = Addr.page_size / 4
+
+type decodes = { pages : Insn.t array array; filled_at : int array }
+
+(* A physically unique value no decode returns: the empty-slot mark. *)
+let undecoded : Insn.t = Insn.Break (-1)
 
 type t = {
   cfg : config;
-  mem : Bytes.t;
-  (* Decoded-instruction cache: one slot per physical word, invalidated on
-     stores by clearing the word's [dec_valid] byte.  The slots live in
-     one array per physical page, allocated by the page's first decode
-     (every page starts as the shared empty array), so a machine pays
-     only for the text it runs.  A set valid byte implies its page is
-     allocated. *)
-  dec : Insn.t array array;
-  dec_valid : Bytes.t;
+  mem : ram;
+  (* Decoded-instruction cache: one slot per physical word.  A page's
+     slot array is allocated by the page's first decode (every page
+     starts as the shared empty array), so a machine pays only for the
+     text it runs; a slot is current while it is not [undecoded] and its
+     page's [filled_at] stamp equals the page's [bgen]. *)
+  dec : decodes;
   (* Basic-block execution cache (the Super tier): direct-mapped
      block table plus the per-physical-page store generations whose
      invalidation contract {!Uop.Gens} owns — every physical write
@@ -251,11 +264,11 @@ type t = {
 
 let create ?(cfg = default_config) () =
   let words = cfg.mem_bytes / 4 in
+  let npages = (cfg.mem_bytes + Addr.page_mask) lsr Addr.page_shift in
   {
     cfg;
-    mem = Bytes.make cfg.mem_bytes '\000';
-    dec = Array.make ((words + dec_page_words - 1) lsr dec_page_shift) [||];
-    dec_valid = Bytes.make words '\000';
+    mem = Array.make npages zero_page;
+    dec = { pages = Array.make npages [||]; filled_at = Array.make npages 0 };
     bcache_tab =
       (if cfg.tier = Uop.Step then [||]
        else Array.make bcache_slots Uop.dummy_block);
@@ -325,44 +338,125 @@ let asid t = (t.entryhi lsr 6) land 0x3F
 let phys_ok t pa len = pa >= 0 && pa + len <= t.cfg.mem_bytes
 
 (* Every physical write advances the page's store generation
-   ({!Uop.Gens} owns the contract), which invalidates any cached basic
-   block decoded from that page (bounds checked: callers validate [pa]
-   against memory the same way the Bytes accesses do). *)
+   ({!Uop.Gens} owns the contract), which invalidates the page's decode
+   slots and any cached basic block decoded from it (unchecked: callers
+   write the page first, and that access is bounds checked). *)
 let bgen_bump t pa =
   let p = pa lsr Addr.page_shift in
   let g = t.bgen in
   Array.unsafe_set g p (Array.unsafe_get g p + 1)
 let bgen_bump_range t pa len = Uop.Gens.bump_range t.bgen pa len
 
+let ram_page_alloc t p =
+  let pg = Bytes.make Addr.page_size '\000' in
+  t.mem.(p) <- pg;
+  pg
+
+(* The page of [p] for writing: a never-written page gets its own bytes
+   here, on its first write. *)
+let[@inline] ram_page_w t p =
+  let pg = t.mem.(p) in
+  if pg != zero_page then pg else ram_page_alloc t p
+
+let read_phys_u8 t pa =
+  Bytes.get_uint8 t.mem.(pa lsr Addr.page_shift) (pa land Addr.page_mask)
+
+let write_u8_raw t pa v =
+  Bytes.set_uint8
+    (ram_page_w t (pa lsr Addr.page_shift))
+    (pa land Addr.page_mask) (v land 0xFF)
+
+(* Multi-byte accesses within one page take one load or store; the rare
+   unaligned host access that straddles a page end goes byte by byte. *)
 let read_phys_u32 t pa =
-  Int32.to_int (Bytes.get_int32_le t.mem pa) land 0xFFFFFFFF
+  let o = pa land Addr.page_mask in
+  if o <= Addr.page_size - 4 then
+    Int32.to_int (Bytes.get_int32_le t.mem.(pa lsr Addr.page_shift) o)
+    land 0xFFFFFFFF
+  else
+    read_phys_u8 t pa
+    lor (read_phys_u8 t (pa + 1) lsl 8)
+    lor (read_phys_u8 t (pa + 2) lsl 16)
+    lor (read_phys_u8 t (pa + 3) lsl 24)
+
+let read_phys_u16 t pa =
+  let o = pa land Addr.page_mask in
+  if o <= Addr.page_size - 2 then
+    Bytes.get_uint16_le t.mem.(pa lsr Addr.page_shift) o
+  else read_phys_u8 t pa lor (read_phys_u8 t (pa + 1) lsl 8)
 
 let write_phys_u32 t pa v =
-  Bytes.set_int32_le t.mem pa (Int32.of_int (v land 0xFFFFFFFF));
-  Bytes.set t.dec_valid (pa lsr 2) '\000';
-  bgen_bump t pa
-
-let read_phys_u16 t pa = Bytes.get_uint16_le t.mem pa
-let read_phys_u8 t pa = Bytes.get_uint8 t.mem pa
+  let o = pa land Addr.page_mask in
+  if o <= Addr.page_size - 4 then begin
+    Bytes.set_int32_le
+      (ram_page_w t (pa lsr Addr.page_shift))
+      o
+      (Int32.of_int (v land 0xFFFFFFFF));
+    bgen_bump t pa
+  end
+  else begin
+    for i = 0 to 3 do
+      write_u8_raw t (pa + i) (v lsr (8 * i))
+    done;
+    bgen_bump_range t pa 4
+  end
 
 let write_phys_u16 t pa v =
-  Bytes.set_uint16_le t.mem pa (v land 0xFFFF);
-  Bytes.set t.dec_valid (pa lsr 2) '\000';
-  bgen_bump t pa
+  let o = pa land Addr.page_mask in
+  if o <= Addr.page_size - 2 then begin
+    Bytes.set_uint16_le (ram_page_w t (pa lsr Addr.page_shift)) o (v land 0xFFFF);
+    bgen_bump t pa
+  end
+  else begin
+    write_u8_raw t pa v;
+    write_u8_raw t (pa + 1) (v lsr 8);
+    bgen_bump_range t pa 2
+  end
 
 let write_phys_u8 t pa v =
-  Bytes.set_uint8 t.mem pa (v land 0xFF);
-  Bytes.set t.dec_valid (pa lsr 2) '\000';
+  write_u8_raw t pa v;
   bgen_bump t pa
 
-let write_phys_bytes t pa s =
-  Bytes.blit_string s 0 t.mem pa (String.length s);
-  for w = pa lsr 2 to (pa + String.length s - 1) lsr 2 do
-    Bytes.set t.dec_valid w '\000'
-  done;
-  bgen_bump_range t pa (String.length s)
+let check_span t what pa len =
+  if pa < 0 || len < 0 || pa + len > t.cfg.mem_bytes then
+    invalid_arg (Printf.sprintf "Machine.%s: [%#x, +%d) outside RAM" what pa len)
 
-let read_phys_bytes t pa len = Bytes.sub_string t.mem pa len
+let is_zero b off len =
+  let rec go i = i >= off + len || (Bytes.unsafe_get b i = '\000' && go (i + 1)) in
+  go off
+
+(* Split the RAM span [pa, pa+len) at page ends: [f p o pos n] for each
+   piece, [n] bytes at offset [o] of page [p], [pos] bytes into the span. *)
+let iter_ram_span t what pa len f =
+  check_span t what pa len;
+  let pos = ref 0 in
+  while !pos < len do
+    let a = pa + !pos in
+    let o = a land Addr.page_mask in
+    let n = min (Addr.page_size - o) (len - !pos) in
+    f (a lsr Addr.page_shift) o !pos n;
+    pos := !pos + n
+  done
+
+(* Zeros landing on a never-written page leave it shared. *)
+let blit_to_ram t what pa src len =
+  iter_ram_span t what pa len (fun p o pos n ->
+      if not (t.mem.(p) == zero_page && is_zero src pos n) then
+        Bytes.blit src pos (ram_page_w t p) o n);
+  bgen_bump_range t pa len
+
+let blit_from_ram t what pa dst len =
+  iter_ram_span t what pa len (fun p o pos n ->
+      Bytes.blit t.mem.(p) o dst pos n)
+
+let write_phys_bytes t pa s =
+  blit_to_ram t "write_phys_bytes" pa (Bytes.unsafe_of_string s)
+    (String.length s)
+
+let read_phys_bytes t pa len =
+  let b = Bytes.create (max len 0) in
+  blit_from_ram t "read_phys_bytes" pa b len;
+  Bytes.unsafe_to_string b
 
 (* ------------------------------------------------------------------ *)
 (* Address translation                                                 *)
@@ -468,13 +562,12 @@ let poll_devices t =
   end;
   if Disk.next_event t.disk <= t.cycles then begin
     let n =
-      Disk.poll t.disk ~now:t.cycles ~mem:t.mem ~on_dma:(fun ~paddr ~len ->
-          (* DMA'd memory may hold instructions: invalidate the decode
-             cache and the basic blocks built over it. *)
-          for w = paddr lsr 2 to (paddr + len - 1) lsr 2 do
-            Bytes.set t.dec_valid w '\000'
-          done;
-          bgen_bump_range t paddr len)
+      (* DMA'd memory may hold instructions: [blit_to_ram] bumps the
+         generations that invalidate the decode cache and the blocks. *)
+      Disk.poll t.disk ~now:t.cycles
+        ~to_ram:(fun pa src -> blit_to_ram t "DMA" pa src Disk.block_bytes)
+        ~from_ram:(fun pa dst ->
+          blit_from_ram t "DMA" pa dst Disk.block_bytes)
     in
     if n > 0 then disk_refresh_irq t
   end
@@ -621,32 +714,44 @@ let store_double_timed t va ft =
   (* A double store occupies two write-buffer slots. *)
   t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
   t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
-  Bytes.set_int64_le t.mem pa (Int64.bits_of_float t.fregs.(ft));
-  Bytes.set t.dec_valid (pa lsr 2) '\000';
-  Bytes.set t.dec_valid ((pa lsr 2) + 1) '\000';
   (* 8-byte aligned, so both words share one page *)
+  Bytes.set_int64_le
+    (ram_page_w t (pa lsr Addr.page_shift))
+    (pa land Addr.page_mask)
+    (Int64.bits_of_float t.fregs.(ft));
   bgen_bump t pa
 
-(* Read through the decode cache, decoding (at [va], which fixes the
-   branch targets) and allocating the page's slot array on a miss. *)
-let decode_at t ~va ~pa =
-  let w = pa lsr 2 in
-  let p = w lsr dec_page_shift in
-  if Bytes.get t.dec_valid w = '\001' then
-    t.dec.(p).(w land (dec_page_words - 1))
+(* The decode slots of physical page [p], allocated on the page's first
+   decode and refilled with [undecoded] when a write has moved the page's
+   generation since they were filled. *)
+let dec_page t p =
+  let d = t.dec in
+  let page = d.pages.(p) in
+  let g = t.bgen.(p) in
+  if Array.length page > 0 && d.filled_at.(p) = g then page
   else begin
-    let insn = Encode.decode ~pc:va (read_phys_u32 t pa) in
     let page =
-      let page = t.dec.(p) in
-      if Array.length page > 0 then page
-      else begin
-        let page = Array.make dec_page_words Insn.nop in
-        t.dec.(p) <- page;
+      if Array.length page > 0 then begin
+        Array.fill page 0 dec_page_words undecoded;
         page
       end
+      else Array.make dec_page_words undecoded
     in
-    page.(w land (dec_page_words - 1)) <- insn;
-    Bytes.set t.dec_valid w '\001';
+    d.pages.(p) <- page;
+    d.filled_at.(p) <- g;
+    page
+  end
+
+(* Read through the decode cache, decoding (at [va], which fixes the
+   branch targets) on a miss. *)
+let decode_at t ~va ~pa =
+  let page = dec_page t (pa lsr Addr.page_shift) in
+  let i = (pa lsr 2) land (dec_page_words - 1) in
+  let insn = page.(i) in
+  if insn != undecoded then insn
+  else begin
+    let insn = Encode.decode ~pc:va (read_phys_u32 t pa) in
+    page.(i) <- insn;
     insn
   end
 
@@ -804,7 +909,9 @@ let branch t cond tgt =
 let exec_fload t ft va =
   let pa = load_double_timed t va in
   ref_trace t 1 va;
-  t.fregs.(ft) <- Int64.float_of_bits (Bytes.get_int64_le t.mem pa);
+  t.fregs.(ft) <-
+    Int64.float_of_bits
+      (Bytes.get_int64_le t.mem.(pa lsr Addr.page_shift) (pa land Addr.page_mask));
   Fpu.set_ready t.fpu ~now:t.cycles ft
 
 let exec_fstore t ft va =
@@ -1124,7 +1231,13 @@ let[@inline always] bb_load_word t rt va =
       Array.unsafe_set dc.Cache.tags idx tg;
       t.cycles <- t.cycles + t.cfg.read_miss_penalty
     end;
-    let v = Int32.to_int (Bytes.get_int32_le t.mem pa) land 0xFFFFFFFF in
+    let v =
+      Int32.to_int
+        (Bytes.get_int32_le
+           (Array.unsafe_get t.mem (pa lsr Addr.page_shift))
+           (pa land Addr.page_mask))
+      land 0xFFFFFFFF
+    in
     (match t.ref_tracer with Some f -> f 1 va | None -> ());
     reg_set t rt v
   end
@@ -1138,8 +1251,10 @@ let[@inline always] bb_store_word t v va =
   let pa = tc_word_pa t t.tc.tc_w va in
   if pa >= 0 then begin
     t.cycles <- t.cycles + Write_buffer.store t.wb ~now:t.cycles;
-    Bytes.set_int32_le t.mem pa (Int32.of_int (v land 0xFFFFFFFF));
-    Bytes.set t.dec_valid (pa lsr 2) '\000';
+    Bytes.set_int32_le
+      (ram_page_w t (pa lsr Addr.page_shift))
+      (pa land Addr.page_mask)
+      (Int32.of_int (v land 0xFFFFFFFF));
     bgen_bump t pa;
     (match t.watchpoint with
     | Some f ->
@@ -1792,6 +1907,14 @@ let load_exe_phys t (exe : Exe.t) ~text_pa ~data_pa =
   write_phys_bytes t data_pa (Bytes.to_string exe.Exe.data)
 
 let console_contents t = Buffer.contents t.console
+
+let ram_pages t =
+  Array.fold_left (fun n pg -> if pg != zero_page then n + 1 else n) 0 t.mem
+
+let decoded_pages t =
+  Array.fold_left
+    (fun n page -> if Array.length page > 0 then n + 1 else n)
+    0 t.dec.pages
 
 let cached_blocks t =
   Array.fold_left

@@ -86,21 +86,27 @@ type tcache = {
 val tc_slots : int
 val tc_slot : int -> int
 
+type ram
+(** Physical memory: a table of 4 KB pages in which every page never
+    written is one shared zero page, so RAM costs only the pages a run
+    writes.  Reach it through the [*_phys_*] accessors below. *)
+
+type decodes
+(** Decoded-instruction cache: one slot per physical word, in per-page
+    slot arrays allocated by a page's first decode.  A page's slots are
+    stamped with its {!Uop.Gens} generation when filled and are stale as
+    a whole once that generation moves, so stores never touch them. *)
+
 type t = {
   cfg : config;
-  mem : Bytes.t;
-  dec : Insn.t array array;
-      (** Decoded-instruction cache, one slot array per 4 KB physical
-          page, allocated by the page's first decode (an unused page is
-          the shared empty array).  A word's slot is current exactly
-          while its [dec_valid] byte is set; every physical write clears
-          that byte. *)
-  dec_valid : Bytes.t;
+  mem : ram;
+  dec : decodes;
   bcache_tab : Uop.block array;
   bgen : Uop.Gens.t;
       (** Per-physical-page store generation: bumped by every store, DMA
-          and host poke; cached blocks are valid only while their page's
-          generation matches ({!Uop.Gens} owns the contract). *)
+          and host poke; cached blocks, and the page's decode slots, are
+          valid only while their page's generation matches ({!Uop.Gens}
+          owns the contract). *)
   regs : int array;
   fregs : float array;
   mutable fcc : bool;
@@ -187,6 +193,16 @@ val read_phys_u8 : t -> int -> int
 val write_phys_u8 : t -> int -> int -> unit
 val write_phys_bytes : t -> int -> string -> unit
 val read_phys_bytes : t -> int -> int -> string
+(** [write_phys_bytes] and [read_phys_bytes] may cross page ends.
+    @raise Invalid_argument if the span leaves RAM. *)
+
+val ram_pages : t -> int
+(** RAM pages with bytes of their own.  A page gets them on its first
+    write; a host or DMA copy of zeros leaves a never-written page
+    shared. *)
+
+val decoded_pages : t -> int
+(** Physical pages whose decode slots have been allocated. *)
 
 (** {2 Execution} *)
 

@@ -28,6 +28,13 @@ let create ~slots ~slot_words =
     peak = 0;
   }
 
+let reset q =
+  q.head <- 0;
+  q.queued <- 0;
+  q.tail_fill <- 0;
+  q.resident <- 0;
+  q.peak <- 0
+
 let nslots q = Array.length q.slots
 let capacity_words q = nslots q * q.slot_words
 let slot_words q = q.slot_words

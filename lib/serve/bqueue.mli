@@ -30,6 +30,12 @@ val create : slots:int -> slot_words:int -> t
 (** @raise Invalid_argument unless [slots >= 2] and [slot_words >= 1]
     (one slot could never queue while filling). *)
 
+val reset : t -> unit
+(** Empty the queue and zero its {!peak_words}, keeping its slots: the
+    queue is then indistinguishable from a fresh {!create} of the same
+    shape, for the next stream to reuse.  Words still queued are
+    discarded. *)
+
 val capacity_words : t -> int
 val slot_words : t -> int
 

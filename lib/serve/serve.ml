@@ -151,6 +151,16 @@ let record_drain g dt =
 (* ------------------------------------------------------------------ *)
 (* Per-connection state (owned by exactly one worker domain).          *)
 
+(* A connection's buffers: its queue, its socket read buffer and its
+   lossy-mode scratch (about 115K words at the default sizes).  A worker
+   hands a finished connection's buffers to its next one, so a stream of
+   short connections does not allocate them afresh each time. *)
+type buffers = { b_q : Bqueue.t; b_rbuf : Bytes.t; b_scratch : int array }
+
+(* Finished connections' buffers a worker keeps for its next ones; past
+   this many, a finished connection's buffers are left to the GC. *)
+let max_spares = 2
+
 type conn = {
   fd : Unix.file_descr;
   dec : Wire.decoder;
@@ -350,17 +360,33 @@ let read_conn c =
       ()
     | exception Unix.Unix_error _ -> c.eof <- true
 
-let make_conn t fd =
+(* A recycled queue is reset, so the new stream starts empty with its
+   own peak; the read buffer and scratch carry no state between
+   streams ([rpos]/[rlen] start at 0). *)
+let make_conn t spares fd =
+  let bufs =
+    match !spares with
+    | b :: rest ->
+      spares := rest;
+      Bqueue.reset b.b_q;
+      b
+    | [] ->
+      {
+        b_q = Bqueue.create ~slots:t.cfg.queue_slots ~slot_words:t.cfg.slot_words;
+        b_rbuf = Bytes.create t.cfg.batch_bytes;
+        b_scratch = Array.make t.cfg.slot_words 0;
+      }
+  in
   {
     fd;
     dec = Wire.decoder ();
-    q = Bqueue.create ~slots:t.cfg.queue_slots ~slot_words:t.cfg.slot_words;
+    q = bufs.b_q;
     pipe = t.cfg.pipeline ();
-    rbuf = Bytes.create t.cfg.batch_bytes;
+    rbuf = bufs.b_rbuf;
     rpos = 0;
     rlen = 0;
     eof = false;
-    scratch = Array.make t.cfg.slot_words 0;
+    scratch = bufs.b_scratch;
     frame_had_drop = false;
     dropped_words = 0;
     dropped_frames = 0;
@@ -369,7 +395,7 @@ let make_conn t fd =
   }
 
 let worker_loop t w =
-  let conns = ref [] in
+  let conns = ref [] and spares = ref [] in
   let drain_wake () =
     let b = Bytes.create 64 in
     try
@@ -385,7 +411,15 @@ let worker_loop t w =
       fresh := Queue.pop w.incoming :: !fresh
     done;
     Mutex.unlock w.amu;
-    List.iter (fun fd -> conns := make_conn t fd :: !conns) !fresh
+    List.iter (fun fd -> conns := make_conn t spares fd :: !conns) !fresh
+  in
+  let finished c =
+    service t c
+    && begin
+      if List.length !spares < max_spares then
+        spares := { b_q = c.q; b_rbuf = c.rbuf; b_scratch = c.scratch } :: !spares;
+      true
+    end
   in
   let running = ref true in
   while !running do
@@ -399,7 +433,7 @@ let worker_loop t w =
       if List.memq w.wake_r readable then drain_wake ();
       List.iter (fun c -> if List.memq c.fd readable then read_conn c) !conns
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    conns := List.filter (fun c -> not (service t c)) !conns;
+    conns := List.filter (fun c -> not (finished c)) !conns;
     if Atomic.get t.stop_flag && !conns = [] then begin
       Mutex.lock w.amu;
       let idle = Queue.is_empty w.incoming in

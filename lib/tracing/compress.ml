@@ -173,17 +173,30 @@ let decode_finish d =
     raise (Corrupt (Printf.sprintf "decoded %d words, expected %d" d.d_emitted e))
   | _ -> ()
 
+(* Words are decoded straight into the result array.  It starts at a
+   size the input can plausibly fill (never above [expect], which the
+   decoder cannot exceed), so a lying [expect] costs no up-front
+   allocation, and doubles when runs outgrow it. *)
 let decode ?expect (s : string) : int array =
-  let out = Buffer.create ((String.length s * 4) + 16) in
+  let len = String.length s in
+  let bound = match expect with Some e -> max e 0 | None -> max_int in
+  let out = ref (Array.make (min bound ((2 * len) + 16)) 0) in
+  let n = ref 0 in
   let d =
-    decoder ?expect ~emit:(fun w -> Buffer.add_int32_le out (Int32.of_int w)) ()
+    decoder ?expect
+      ~emit:(fun w ->
+        if !n = Array.length !out then begin
+          let grown = Array.make (min bound (2 * !n)) 0 in
+          Array.blit !out 0 grown 0 !n;
+          out := grown
+        end;
+        Array.unsafe_set !out !n w;
+        incr n)
+      ()
   in
-  decode_bytes d s ~pos:0 ~len:(String.length s);
+  decode_bytes d s ~pos:0 ~len;
   decode_finish d;
-  let nwords = Buffer.length out / 4 in
-  let b = Buffer.to_bytes out in
-  Array.init nwords (fun i ->
-      Int32.to_int (Bytes.get_int32_le b (i * 4)) land mask32)
+  if !n = Array.length !out then !out else Array.sub !out 0 !n
 
 (* ------------------------------------------------------------------ *)
 (* LZSS layer.
@@ -209,6 +222,7 @@ let decode ?expect (s : string) : int array =
 let lz_min_match = 4
 let lz_max_match = 259
 let lz_max_dist = 65535
+let lz_hist_size = 65536 (* power of two > lz_max_dist *)
 let lz_hash_bits = 15
 
 (* Match-finder tuning.  [lz_max_tries] bounds the hash-chain walk per
@@ -232,14 +246,52 @@ let lz_max_insert = 2
    format is byte-order-defined. *)
 external get16u : string -> int -> int = "%caml_string_get16u"
 
+(* Per-domain scratch for the LZSS stage.  A v3 file packs and unpacks
+   one block after another; the match finder's hash head and chain, the
+   packer's output buffer, the unpacker's history ring and its output
+   are reused from block to block instead of being allocated for each.
+   Domains never share one, but the systhreads of one domain do: the
+   codecs must not run in two threads of one domain at once.  Nothing
+   returned to a caller aliases the scratch.  Buffers beyond
+   [scratch_cap] (whole-trace v2 payloads) are allocated for the one
+   call and not kept. *)
+type lz_scratch = {
+  head : int array;
+  mutable chain : int array;
+  mutable packed : Bytes.t;
+  ring : Bytes.t;
+  mutable unpacked : Bytes.t;
+}
+
+let scratch_cap = 1 lsl 20
+
+let lz_scratch =
+  Domain.DLS.new_key (fun () ->
+      {
+        head = Array.make (1 lsl lz_hash_bits) (-1);
+        chain = [||];
+        packed = Bytes.empty;
+        ring = Bytes.create lz_hist_size;
+        unpacked = Bytes.empty;
+      })
+
 let lzss_pack (src : string) : string =
   let n = String.length src in
+  let sc = Domain.DLS.get lz_scratch in
   (* Exact worst case: all-literal output is [n] item bytes plus one
      control byte per 8 items, and the tail pad adds at most 7 dist-0
      items (21 bytes) plus one control byte — so a fixed buffer of
      [n + n/8 + 32] can never overflow and the hot loop carries no
      growth checks at all. *)
-  let out = Bytes.create (n + (n lsr 3) + 32) in
+  let out =
+    let need = n + (n lsr 3) + 32 in
+    if Bytes.length sc.packed >= need then sc.packed
+    else begin
+      let b = Bytes.create need in
+      if need <= scratch_cap then sc.packed <- b;
+      b
+    end
+  in
   let o = ref 0 in
   (* pending group: control byte is patched in place when the group
      closes, so items stream straight into [out] with no staging buffer *)
@@ -273,8 +325,18 @@ let lzss_pack (src : string) : string =
     if !nitems = 8 then close_group ()
   in
   let hmask = (1 lsl lz_hash_bits) - 1 in
-  let head = Array.make (1 lsl lz_hash_bits) (-1) in
-  let chain = Array.make (max n 1) (-1) in
+  let head = sc.head in
+  Array.fill head 0 (Array.length head) (-1);
+  (* every chain slot read was written by this call's [insert] first,
+     so a reused chain needs no clearing *)
+  let chain =
+    if Array.length sc.chain >= n then sc.chain
+    else begin
+      let c = Array.make n (-1) in
+      if n <= scratch_cap then sc.chain <- c;
+      c
+    end
+  in
   (* 4-byte multiplicative hash (Fibonacci constant); one multiply on
      the packed word beats the per-byte mix it replaces, and quality is
      equivalent for chain bucketing.  Caller guarantees [i + 4 <= n]. *)
@@ -390,8 +452,6 @@ let max_delta_bytes_per_word = 10 (* 5-byte token + 5-byte run varint *)
    is still accepted for leniency, though the packer always ends on a
    group boundary. *)
 
-let lz_hist_size = 65536 (* power of two > lz_max_dist *)
-
 type lz_decoder = {
   z_emit : char -> unit;
   z_limit : int;
@@ -403,18 +463,25 @@ type lz_decoder = {
   mutable z_total : int;  (* output bytes emitted so far *)
 }
 
-let lz_decoder ?(limit = max_decoded_words * max_delta_bytes_per_word) ~emit ()
-    =
+let lz_default_limit = max_decoded_words * max_delta_bytes_per_word
+
+(* Every ring byte a match reads was written by the same stream first
+   (a distance is at most [lz_max_dist] < [lz_hist_size]), so a reused
+   ring needs no clearing. *)
+let lz_decoder_on hist ~limit ~emit =
   {
     z_emit = emit;
     z_limit = limit;
-    z_hist = Bytes.create lz_hist_size;
+    z_hist = hist;
     z_tok = Bytes.create 3;
     z_ctrl = 0;
     z_item = 8;
     z_ntok = 0;
     z_total = 0;
   }
+
+let lz_decoder ?(limit = lz_default_limit) ~emit () =
+  lz_decoder_on (Bytes.create lz_hist_size) ~limit ~emit
 
 let lz_out z c =
   if z.z_total >= z.z_limit then
@@ -462,12 +529,27 @@ let lz_decode_bytes z (s : string) ~pos ~len =
 let lz_decode_finish z =
   if z.z_ntok > 0 then raise (Corrupt "truncated LZSS stream")
 
-let lzss_unpack ?limit (src : string) : string =
-  let out = Buffer.create ((String.length src * 3) + 16) in
-  let z = lz_decoder ?limit ~emit:(Buffer.add_char out) () in
+(* Whole-stream unpack: the incremental decoder, run on the domain's
+   ring and writing into the domain's output buffer; only the sized
+   result is fresh. *)
+let lzss_unpack ?(limit = lz_default_limit) (src : string) : string =
+  let sc = Domain.DLS.get lz_scratch in
+  let out = ref sc.unpacked and o = ref 0 in
+  let emit c =
+    if !o = Bytes.length !out then begin
+      (* a fresh buffer starts at 3x the packed size, a typical ratio *)
+      let b = Bytes.create (max (2 * !o) ((3 * String.length src) + 16)) in
+      Bytes.blit !out 0 b 0 !o;
+      if Bytes.length b <= scratch_cap then sc.unpacked <- b;
+      out := b
+    end;
+    Bytes.unsafe_set !out !o c;
+    incr o
+  in
+  let z = lz_decoder_on sc.ring ~limit ~emit in
   lz_decode_bytes z src ~pos:0 ~len:(String.length src);
   lz_decode_finish z;
-  Buffer.contents out
+  Bytes.sub_string !out 0 !o
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven.
@@ -594,8 +676,20 @@ let encode_semantic (words : int array) ~pos ~len : string =
   Array.iter (fun b -> Buffer.add_buffer out b) streams;
   Buffer.contents out
 
+(* The decoder's per-run and per-class arrays, reused block to block
+   like {!lz_scratch} (and kept only up to [scratch_cap] words). *)
+type sem_scratch = { mutable runs : int array; cls : int array array }
+
+let sem_scratch =
+  Domain.DLS.new_key (fun () ->
+      { runs = [||]; cls = Array.make n_classes [||] })
+
+let reuse_ints a n =
+  if Array.length a >= n then a else Array.make (max n 1) 0
+
 let decode_semantic ~expect (s : string) : int array =
   let n = String.length s in
+  let sc = Domain.DLS.get sem_scratch in
   let p = ref 0 in
   let get_varint () =
     let acc = ref 0 and shift = ref 0 and fin = ref false in
@@ -615,16 +709,16 @@ let decode_semantic ~expect (s : string) : int array =
     raise
       (Corrupt
          (Printf.sprintf "semantic block: %d runs for %d words" nruns expect));
-  let run_class = Array.make (max nruns 1) 0 in
-  let run_len = Array.make (max nruns 1) 0 in
+  (* one word per run: its length above 3 bits of class *)
+  let runs = reuse_ints sc.runs nruns in
+  if Array.length runs <= scratch_cap then sc.runs <- runs;
   let counts = Array.make n_classes 0 in
   let total = ref 0 in
   for r = 0 to nruns - 1 do
     let tok = get_varint () in
     let c = tok land 7 and l = (tok lsr 3) + 1 in
     if c >= n_classes then raise (Corrupt "semantic block: bad class");
-    run_class.(r) <- c;
-    run_len.(r) <- l;
+    runs.(r) <- (l lsl 3) lor c;
     counts.(c) <- counts.(c) + l;
     total := !total + l;
     if !total > expect then
@@ -652,7 +746,8 @@ let decode_semantic ~expect (s : string) : int array =
   (* decode each class stream into its own array, then interleave *)
   let cls_words =
     Array.init n_classes (fun c ->
-        let out = Array.make (max counts.(c) 1) 0 in
+        let out = reuse_ints sc.cls.(c) counts.(c) in
+        if Array.length out <= scratch_cap then sc.cls.(c) <- out;
         let k = ref 0 in
         let d = decoder ~expect:counts.(c) ~emit:(fun w ->
             out.(!k) <- w;
@@ -666,11 +761,11 @@ let decode_semantic ~expect (s : string) : int array =
   let out = Array.make (max expect 1) 0 in
   let o = ref 0 in
   for r = 0 to nruns - 1 do
-    let c = run_class.(r) in
-    let src = cls_words.(c) and i = idx.(c) in
-    Array.blit src i out !o run_len.(r);
-    idx.(c) <- i + run_len.(r);
-    o := !o + run_len.(r)
+    let c = runs.(r) land 7 and l = runs.(r) lsr 3 in
+    let i = idx.(c) in
+    Array.blit cls_words.(c) i out !o l;
+    idx.(c) <- i + l;
+    o := !o + l
   done;
   if expect = 0 then [||] else out
 

@@ -8,7 +8,12 @@
     block codecs, and both stages make up the payload of the legacy
     version-2 files the reader still loads.  The [compression] bench
     experiment measures the density win over the raw one-word format
-    (paper §3.5: "the trace takes less space and less time to write"). *)
+    (paper §3.5: "the trace takes less space and less time to write").
+
+    The whole-buffer codecs ({!lzss_pack}, {!lzss_unpack}, {!unpack},
+    {!decode_semantic}) reuse per-domain scratch between calls, so they
+    may run in parallel domains but not in two threads of one domain at
+    once. *)
 
 exception Corrupt of string
 (** Raised by {!decode} on malformed input (truncated or oversized

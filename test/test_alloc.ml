@@ -124,16 +124,17 @@ let test_translate_i () =
   check_zero "Machine.translate_i (store)" (fun i ->
       ignore (Machine.translate_i m (va i) ~write:true ~fetch:false))
 
-(* The decode cache is allocated page by page as text first runs, so
-   creating a machine allocates little beyond its RAM, disk image and
-   decode-valid bytes (3.7M words); a slot per word of RAM adds 4M. *)
+(* RAM, the disk image and the decode cache are allocated page by page
+   as a run first writes or runs them, so creating a machine allocates
+   only its page tables, caches and block table (about 40K words).
+   Zero-filled RAM, disk and decode-valid bytes made it 3.7M words. *)
 let test_create_words () =
   let b0 = Gc.allocated_bytes () in
   let m = Machine.create () in
   let words = (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) in
   ignore (Sys.opaque_identity m);
-  if words >= 4e6 then
-    Alcotest.failf "Machine.create: %.0f words allocated (bound 4M)" words
+  if words >= 65536. then
+    Alcotest.failf "Machine.create: %.0f words allocated (bound 64K)" words
 
 (* A traced egrep/Ultrix system, run to completion, with its run's minor
    words per instruction. *)
@@ -184,15 +185,29 @@ let test_traced_run_words () =
 let test_decoded_pages () =
   let t, _ = Lazy.force traced_egrep in
   let m = t.Builder.machine in
-  let pages = Array.length m.Machine.dec in
-  let used =
-    Array.fold_left (fun n p -> if Array.length p > 0 then n + 1 else n) 0
-      m.Machine.dec
-  in
-  Alcotest.(check int) "decode pages cover RAM" 4096 pages;
+  let used = Machine.decoded_pages m in
   if used >= 64 then
-    Alcotest.failf "traced egrep/Ultrix: %d of %d decode pages allocated (bound 64)"
-      used pages
+    Alcotest.failf "traced egrep/Ultrix: %d decode pages allocated (bound 64)"
+      used
+
+(* Only pages that were written get bytes of their own: every allocated
+   page had its store generation moved, and the boot writes under a
+   quarter of RAM. *)
+let test_ram_pages () =
+  let t, _ = Lazy.force traced_egrep in
+  let m = t.Builder.machine in
+  let pages = Array.length m.Machine.bgen in
+  let written =
+    Array.fold_left (fun n g -> if g > 0 then n + 1 else n) 0 m.Machine.bgen
+  in
+  let allocated = Machine.ram_pages m in
+  Alcotest.(check int) "RAM pages" 4096 pages;
+  if allocated > written then
+    Alcotest.failf "traced egrep/Ultrix: %d RAM pages allocated, %d written"
+      allocated written;
+  if allocated >= 1024 then
+    Alcotest.failf "traced egrep/Ultrix: %d of %d RAM pages allocated (bound 1024)"
+      allocated pages
 
 let tests =
   [
@@ -211,4 +226,5 @@ let tests =
     Alcotest.test_case "Machine.create words" `Quick test_create_words;
     Alcotest.test_case "traced egrep/Ultrix decode pages" `Quick
       test_decoded_pages;
+    Alcotest.test_case "traced egrep/Ultrix RAM pages" `Quick test_ram_pages;
   ]

@@ -1023,6 +1023,10 @@ let prop_tlb_probe_order =
 (* ------------------------------------------------------------------ *)
 (* Block-cache oracle: replay must be indistinguishable from [step]    *)
 
+(* The whole of physical memory, read through the host accessor. *)
+let ram_image (m : Machine.t) =
+  Machine.read_phys_bytes m 0 m.Machine.cfg.Machine.mem_bytes
+
 (* Complete architectural state plus every ground-truth counter.  Any
    divergence here means the block cache leaked into the simulation. *)
 let bb_fingerprint (m : Machine.t) =
@@ -1097,7 +1101,7 @@ let bb_run_both ?(prepare = fun (_ : Machine.t) -> ()) ?(max_insns = 400_000)
   List.iter
     (fun tier ->
       let mb = run_tier tier in
-      if not (Bytes.equal ms.Machine.mem mb.Machine.mem) then
+      if ram_image ms <> ram_image mb then
         QCheck.Test.fail_report
           (Uop.tier_name tier ^ " tier diverges from step mode in memory");
       if bb_fingerprint mb <> fs then
@@ -1598,7 +1602,7 @@ let test_lmw_last_load_tlb_miss () =
       check
         (Uop.tier_name tier ^ ": memory matches step after lmw fault")
         true
-        (Bytes.equal ms.Machine.mem mt.Machine.mem);
+        (ram_image ms = ram_image mt);
       check
         (Uop.tier_name tier ^ ": registers/epc/counters match step")
         true
@@ -1629,4 +1633,295 @@ let tests =
         test_store_invalidates_decode;
       Alcotest.test_case "random register range" `Quick test_random_register_range;
       Alcotest.test_case "context register" `Quick test_context_register;
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Page-lazy RAM and disk vs a flat-bytes model                         *)
+
+(* RAM and the disk image are page tables whose never-written pages share
+   one zero page.  Every host access, and DMA in both directions, must
+   behave as on one flat byte array: the model kept here.  Accesses land
+   at random offsets and lengths, so they straddle page and block ends;
+   most disk blocks and RAM pages are never written, so DMA reads of
+   untouched blocks and DMA writes from untouched RAM come up often. *)
+
+let lazy_cfg =
+  { Machine.default_config with Machine.mem_bytes = 1 lsl 20; disk_blocks = 64 }
+
+(* RAM below this holds the spin loop that lets DMA complete; the ops
+   stay inside a window above it small enough that DMA often meets
+   written pages and often does not. *)
+let lazy_lo = 0x10000
+let lazy_window = 0x18000
+
+type lazy_op =
+  | L_write of int * string
+  | L_read of int * int
+  | L_u32 of int * int
+  | L_u16 of int * int
+  | L_u8 of int * int
+  | L_disk_write of int * string
+  | L_disk_read of int * int
+  | L_dma of bool * int * int * int  (* is_write, block, pa, count *)
+
+let lazy_gen_op =
+  let open QCheck.Gen in
+  let ram_bytes = lazy_cfg.Machine.mem_bytes in
+  let disk_bytes = lazy_cfg.Machine.disk_blocks * Disk.block_bytes in
+  let ram_span len = int_range lazy_lo (min (ram_bytes - len) (lazy_lo + lazy_window)) in
+  let payload len =
+    (* zero runs too: a copy of zeros onto an unwritten page keeps it
+       shared, and that path must read back the same *)
+    oneof
+      [ string_size ~gen:char (return len); return (String.make len '\000') ]
+  in
+  let len = oneof [ int_range 0 16; int_range 1 9000 ] in
+  frequency
+    [
+      ( 4,
+        len >>= fun n ->
+        pair (ram_span n) (payload n) >|= fun (pa, s) -> L_write (pa, s) );
+      (3, len >>= fun n -> ram_span n >|= fun pa -> L_read (pa, n));
+      (2, pair (ram_span 4) (int_bound 0xFFFFFFF) >|= fun (pa, v) -> L_u32 (pa, v));
+      (1, pair (ram_span 2) (int_bound 0xFFFF) >|= fun (pa, v) -> L_u16 (pa, v));
+      (1, pair (ram_span 1) (int_bound 0xFF) >|= fun (pa, v) -> L_u8 (pa, v));
+      ( 3,
+        len >>= fun n ->
+        pair (int_range 0 (disk_bytes - n)) (payload n) >|= fun (a, s) ->
+        L_disk_write (a, s) );
+      ( 2,
+        len >>= fun n ->
+        int_range 0 (disk_bytes - n) >|= fun a -> L_disk_read (a, n) );
+      ( 3,
+        int_range 1 3 >>= fun count ->
+        let span = count * Disk.block_bytes in
+        triple bool
+          (int_range 0 (lazy_cfg.Machine.disk_blocks - count))
+          (ram_span span)
+        >|= fun (w, b, pa) -> L_dma (w, b, pa, count) );
+    ]
+
+let lazy_print = function
+  | L_write (pa, s) -> Printf.sprintf "write %#x +%d" pa (String.length s)
+  | L_read (pa, n) -> Printf.sprintf "read %#x +%d" pa n
+  | L_u32 (pa, v) -> Printf.sprintf "u32 %#x %#x" pa v
+  | L_u16 (pa, v) -> Printf.sprintf "u16 %#x %#x" pa v
+  | L_u8 (pa, v) -> Printf.sprintf "u8 %#x %#x" pa v
+  | L_disk_write (a, s) -> Printf.sprintf "disk write %#x +%d" a (String.length s)
+  | L_disk_read (a, n) -> Printf.sprintf "disk read %#x +%d" a n
+  | L_dma (w, b, pa, n) ->
+    Printf.sprintf "dma %s block %d pa %#x x%d" (if w then "out" else "in") b pa n
+
+(* A machine spinning in kseg0 with interrupts off: DMA completes while
+   it runs. *)
+let lazy_machine () =
+  let m, _ =
+    setup ~cfg:lazy_cfg (fun a ->
+        let open Asm in
+        label a "spin";
+        j_ a "spin";
+        nop a)
+  in
+  m
+
+(* Submit one request and run until it has completed. *)
+let lazy_dma m ~is_write ~block ~pa ~count =
+  let d = m.Machine.disk in
+  d.Disk.reg_block <- block;
+  d.Disk.reg_addr <- pa;
+  d.Disk.reg_count <- count;
+  if not (Disk.submit d ~now:m.Machine.cycles ~is_write) then
+    Alcotest.fail "disk queue full";
+  let budget = d.Disk.seek_cycles + (count * d.Disk.per_block_cycles) + 16 in
+  ignore (Machine.run m ~max_insns:budget);
+  if Disk.done_block d <> block then Alcotest.fail "DMA did not complete";
+  Disk.ack d
+
+let prop_lazy_memory_model =
+  QCheck.Test.make ~count:60
+    ~name:"page-lazy RAM and disk == flat-bytes model (host access and DMA)"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map lazy_print ops))
+       QCheck.Gen.(list_size (int_range 1 40) lazy_gen_op))
+    (fun ops ->
+      let m = lazy_machine () in
+      let bs = Disk.block_bytes in
+      let ram = Bytes.of_string (ram_image m) in
+      let disk =
+        Bytes.make (lazy_cfg.Machine.disk_blocks * bs) '\000'
+      in
+      let set_le n pa v =
+        for i = 0 to n - 1 do
+          Bytes.set_uint8 ram (pa + i) ((v lsr (8 * i)) land 0xFF)
+        done
+      in
+      let get_le n pa =
+        let v = ref 0 in
+        for i = n - 1 downto 0 do
+          v := (!v lsl 8) lor Bytes.get_uint8 ram (pa + i)
+        done;
+        !v
+      in
+      let fail what = QCheck.Test.fail_report what in
+      List.iter
+        (fun op ->
+          match op with
+          | L_write (pa, s) ->
+            Machine.write_phys_bytes m pa s;
+            Bytes.blit_string s 0 ram pa (String.length s)
+          | L_read (pa, n) ->
+            if Machine.read_phys_bytes m pa n <> Bytes.sub_string ram pa n then
+              fail (lazy_print op)
+          | L_u32 (pa, v) ->
+            if Machine.read_phys_u32 m pa <> get_le 4 pa then fail "u32 read";
+            Machine.write_phys_u32 m pa v;
+            set_le 4 pa v
+          | L_u16 (pa, v) ->
+            if Machine.read_phys_u16 m pa <> get_le 2 pa then fail "u16 read";
+            Machine.write_phys_u16 m pa v;
+            set_le 2 pa v
+          | L_u8 (pa, v) ->
+            if Machine.read_phys_u8 m pa <> get_le 1 pa then fail "u8 read";
+            Machine.write_phys_u8 m pa v;
+            set_le 1 pa v
+          | L_disk_write (a, s) ->
+            Disk.write_image m.Machine.disk ~block:(a / bs) ~off:(a mod bs) s;
+            Bytes.blit_string s 0 disk a (String.length s)
+          | L_disk_read (a, n) ->
+            if
+              Disk.read_image m.Machine.disk ~block:(a / bs) ~off:(a mod bs)
+                ~len:n
+              <> Bytes.sub_string disk a n
+            then fail (lazy_print op)
+          | L_dma (is_write, block, pa, count) ->
+            lazy_dma m ~is_write ~block ~pa ~count;
+            if is_write then Bytes.blit ram pa disk (block * bs) (count * bs)
+            else Bytes.blit disk (block * bs) ram pa (count * bs))
+        ops;
+      if ram_image m <> Bytes.to_string ram then fail "RAM image differs";
+      Disk.read_image m.Machine.disk ~block:0 ~off:0 ~len:(Bytes.length disk)
+      = Bytes.to_string disk)
+
+(* DMA of never-written pages in both directions: a read of an untouched
+   disk block zeroes written RAM, a write from untouched RAM zeroes a
+   written block, and neither allocates the untouched side. *)
+let test_lazy_dma_untouched () =
+  let m = lazy_machine () in
+  let bs = Disk.block_bytes in
+  let pa = 0x20000 in
+  Machine.write_phys_bytes m pa (String.make bs 'r');
+  Disk.write_image m.Machine.disk ~block:5 ~off:0 (String.make bs 'd');
+  let pages = Machine.ram_pages m in
+  lazy_dma m ~is_write:false ~block:9 ~pa ~count:1;
+  Alcotest.(check string) "read of an untouched block zeroes RAM"
+    (String.make bs '\000') (Machine.read_phys_bytes m pa bs);
+  lazy_dma m ~is_write:true ~block:5 ~pa:0x40000 ~count:1;
+  Alcotest.(check string) "write from untouched RAM zeroes the block"
+    (String.make bs '\000')
+    (Disk.read_image m.Machine.disk ~block:5 ~off:0 ~len:bs);
+  check_int "untouched RAM stays shared" pages (Machine.ram_pages m);
+  check "out-of-RAM span rejected" true
+    (match Machine.read_phys_bytes m (lazy_cfg.Machine.mem_bytes - 2) 4 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* A store into a text page that has already been decoded, then more
+   code from that page, some of it the word just patched: the page's
+   decode slots are stale as a whole after the store, and step and super
+   must still agree on every register, counter and byte of RAM. *)
+let test_store_into_decoded_page () =
+  let build a =
+    let open Asm in
+    li a Reg.s0 0;
+    li a Reg.s1 3;
+    label a "loop";
+    jal a "$body";
+    nop a;
+    (* patch the body after its first run, and poke a data word that
+       shares its page *)
+    la a Reg.t0 "$patch";
+    li a Reg.t1 0x24020007;  (* addiu v0, zero, 7 *)
+    sw a Reg.t1 0 Reg.t0;
+    la a Reg.t0 "$word";
+    sw a Reg.s0 0 Reg.t0;
+    addiu a Reg.s1 Reg.s1 (-1);
+    bne a Reg.s1 Reg.zero "loop";
+    nop a;
+    halt a;
+    label a "$body";
+    label a "$patch";
+    li a Reg.v0 1;
+    addu a Reg.s0 Reg.s0 Reg.v0;
+    ret a;
+    label a "$word";
+    nop a
+  in
+  let run_tier tier =
+    let m, _ = setup ~cfg:{ Machine.default_config with Machine.tier } build in
+    run m;
+    m
+  in
+  let ms = run_tier Uop.Step and mb = run_tier Uop.Super in
+  check_int "patched body ran after the store" (1 + 7 + 7) ms.Machine.regs.(Reg.s0);
+  check "super registers/counters == step" true
+    (bb_fingerprint mb = bb_fingerprint ms);
+  check "super RAM == step" true (ram_image mb = ram_image ms)
+
+(* The decode cache covers all of RAM: a loop whose halt is the last
+   word of the last physical page decodes and runs, and step and super
+   agree on it. *)
+let test_last_page_text () =
+  let build a =
+    let open Asm in
+    global a "_start";
+    label a "_start";
+    li a Reg.s0 0;
+    li a Reg.s1 3;
+    label a "loop";
+    addiu a Reg.s0 Reg.s0 5;
+    addiu a Reg.s1 Reg.s1 (-1);
+    bne a Reg.s1 Reg.zero "loop";
+    nop a;
+    halt a
+  in
+  let link text_base =
+    let a = Asm.create "test" in
+    build a;
+    Link.link ~name:"test" ~text_base ~data_base:data_va ~entry:"_start"
+      [ Asm.to_obj a ]
+  in
+  let ram = Machine.default_config.Machine.mem_bytes in
+  let len = 4 * Array.length (link text_va).Exe.text in
+  let exe = link (Addr.kseg0_base + ram - len) in
+  let run_tier tier =
+    let m = Machine.create ~cfg:{ Machine.default_config with Machine.tier } () in
+    Machine.load_exe_phys m exe ~text_pa:(ram - len)
+      ~data_pa:(Addr.kseg0_pa data_va);
+    m.Machine.pc <- exe.Exe.entry;
+    m.Machine.npc <- exe.Exe.entry + 4;
+    m.Machine.hcall_handler <-
+      Some (fun m code -> if code = 0 then Machine.halt m);
+    run m;
+    m
+  in
+  let ms = run_tier Uop.Step and mb = run_tier Uop.Super in
+  check_int "step: loop result" 15 ms.Machine.regs.(Reg.s0);
+  check "step: last page decoded" true (Machine.decoded_pages ms >= 1);
+  check "super: a block on the last page" true
+    (List.exists
+       (fun (b : Uop.block) -> b.Uop.bb_pa lsr Addr.page_shift = (ram - 1) lsr Addr.page_shift)
+       (Machine.cached_blocks mb));
+  check "super registers/counters == step" true
+    (bb_fingerprint mb = bb_fingerprint ms)
+
+let tests =
+  tests
+  @ [
+      QCheck_alcotest.to_alcotest prop_lazy_memory_model;
+      Alcotest.test_case "text on the last RAM page: step == super" `Quick
+        test_last_page_text;
+      Alcotest.test_case "page-lazy DMA of untouched pages" `Quick
+        test_lazy_dma_untouched;
+      Alcotest.test_case "store into a decoded page: step == super" `Quick
+        test_store_into_decoded_page;
     ]

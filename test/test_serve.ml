@@ -72,6 +72,49 @@ let test_bqueue_basics () =
   ignore (Bqueue.pop q);
   check_bool "pop reopens" true (Bqueue.reserve q <> None)
 
+(* A reset queue is a fresh one: whatever a stream left queued, in its
+   tail or in its peak, the next stream on the recycled queue sees the
+   same offers, chunks and peak as on a new queue of the same shape. *)
+let test_bqueue_reset () =
+  let produce q n =
+    match Bqueue.reserve q with
+    | Some (buf, off, space) ->
+      let k = min n space in
+      for i = 0 to k - 1 do
+        buf.(off + i) <- 1000 + i
+      done;
+      Bqueue.commit q k;
+      Some (off, space)
+    | None -> None
+  in
+  let script q =
+    let offers = List.map (produce q) [ 5; 8; 3 ] in
+    Bqueue.flush q;
+    let chunks = ref [] in
+    let rec drain () =
+      match Bqueue.pop q with
+      | Some (buf, len) ->
+        chunks := Array.to_list (Array.sub buf 0 len) :: !chunks;
+        drain ()
+      | None -> ()
+    in
+    drain ();
+    (offers, List.rev !chunks, Bqueue.peak_words q)
+  in
+  let q = Bqueue.create ~slots:4 ~slot_words:8 in
+  (* a stream that ends mid-slot with two slots still queued *)
+  List.iter (fun n -> ignore (produce q n)) [ 8; 8; 8; 3 ];
+  ignore (Bqueue.pop q);
+  check_int "left queued" 2 (Bqueue.queued q);
+  Bqueue.reset q;
+  check_bool "reset empty" true (Bqueue.is_empty q);
+  check_int "reset queued" 0 (Bqueue.queued q);
+  check_int "reset resident" 0 (Bqueue.resident_words q);
+  check_int "reset peak" 0 (Bqueue.peak_words q);
+  check_bool "reset pop" true (Bqueue.pop q = None);
+  check_bool "reset queue behaves as a fresh one" true
+    (script q = script (Bqueue.create ~slots:4 ~slot_words:8))
+
 (* Random interleaving of produce/pop against a reference model: FIFO
    word order exactly preserved, resident words never above capacity. *)
 let prop_bqueue_order =
@@ -487,6 +530,51 @@ let test_torn_frames_and_disconnects () =
   (* every accepted connection's descriptor is back *)
   check_int "no leaked file descriptors" baseline_fds (open_fds ())
 
+(* One worker recycles a finished connection's queue and buffers for its
+   next one: after a torn stream, a clean stream gets a clean reply, and
+   the counters it leaves are its own stream's. *)
+let test_recycled_connection_starts_clean () =
+  let path = tmp_name "recycle" in
+  let cfg =
+    {
+      (Server.default_config Server.null_pipeline) with
+      Server.unix_path = Some path;
+      workers = 1;
+    }
+  in
+  let baseline_fds = open_fds () in
+  with_server cfg (fun t ->
+      let torn = Array.init 3_000 (fun i -> (i * 31) land 0xFFFFFFFF) in
+      let bytes = Wire.encode ~frame_words:1_000 torn in
+      (match
+         Client.send_raw (Client.Unix_path path)
+           (String.sub bytes 0 ((2 * String.length bytes) / 3))
+       with
+      | Some line ->
+        check_bool "torn stream answered with err" true
+          (String.length line >= 3 && String.sub line 0 3 = "err")
+      | None -> Alcotest.fail "torn stream got no reply");
+      let first = quiesce t in
+      let clean = Array.init 5_000 (fun i -> (i * 7) land 0xFFFFFFFF) in
+      (match Client.run (Client.Unix_path path) clean with
+      | Some r ->
+        check_int "clean reply: every word" 5_000 r.Client.r_words;
+        check_int "clean reply: no dropped words" 0 r.Client.r_dropped_words;
+        check_int "clean reply: no dropped frames" 0 r.Client.r_dropped_frames;
+        check_int "clean reply: no diagnoses" 0 r.Client.r_diagnoses
+      | None -> Alcotest.fail "clean stream after a torn one rejected");
+      let s = quiesce t in
+      check_int "one faulted stream" 1 s.Server.streams_faulted;
+      check_int "clean stream's words analyzed" 5_000
+        (s.Server.words_analyzed - first.Server.words_analyzed);
+      check_bool
+        (Printf.sprintf "peak resident %d is one stream's (<= 5000)"
+           s.Server.peak_resident_words)
+        true
+        (s.Server.peak_resident_words > 0
+        && s.Server.peak_resident_words <= 5_000));
+  check_int "no leaked file descriptors" baseline_fds (open_fds ())
+
 (* One request on the control socket at [ctl], its whole reply. *)
 let ctl_ask ctl cmd =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -605,6 +693,7 @@ let test_parse_pipeline_clean_mach () =
 let tests =
   [
     Alcotest.test_case "bqueue basics" `Quick test_bqueue_basics;
+    Alcotest.test_case "bqueue reset" `Quick test_bqueue_reset;
     QCheck_alcotest.to_alcotest prop_bqueue_order;
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
     QCheck_alcotest.to_alcotest prop_wire_torn;
@@ -617,6 +706,8 @@ let tests =
       test_lossy_accounting;
     Alcotest.test_case "torn frames, disconnects, no fd leaks" `Quick
       test_torn_frames_and_disconnects;
+    Alcotest.test_case "recycled connection starts clean" `Quick
+      test_recycled_connection_starts_clean;
     Alcotest.test_case "control socket stats and shutdown" `Quick
       test_ctl_stats_shutdown;
     Alcotest.test_case "stats count a stream once it is acknowledged" `Quick

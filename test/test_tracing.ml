@@ -2080,9 +2080,50 @@ let test_backward_compat_fixtures () =
         "write_v2 == v2 fixture bytes" (read_file "fixture_v2.strc")
         (read_file path))
 
+(* The codecs reuse per-domain scratch from block to block, so the
+   writer's bytes are pinned: saving the fixture words reproduces the
+   checked-in v3 fixture, also right after this domain packed and
+   unpacked a larger trace, and a multi-block file reads back the same
+   through both readers, twice. *)
+let test_v3_bytes_pinned_across_reuse () =
+  let fixture = read_file "fixture_v3.strc" in
+  let save_fixture what =
+    with_temp (fun path ->
+        Tracefile.save ~compress:true path fixture_words;
+        Alcotest.(check string) what fixture (read_file path))
+  in
+  save_fixture "v3 save == v3 fixture bytes";
+  let rng = Random.State.make [| 18 |] in
+  let big =
+    Array.init ((2 * Tracefile.v3_block_words) + 4321) (fun i ->
+        if i land 3 = 0 then
+          let hi = Random.State.bits rng lsl 30 in
+          (hi lor Random.State.bits rng) land 0xFFFFFFFF
+        else fixture_words.(i mod Array.length fixture_words))
+  in
+  with_temp (fun path ->
+      Tracefile.save ~compress:true path big;
+      check "larger trace round-trips" true (Tracefile.load path = big));
+  save_fixture "v3 save == v3 fixture bytes after a larger trace";
+  let path = Lazy.force multiblock_file in
+  let words = Lazy.force multiblock_words in
+  let collect fold =
+    let acc = ref [] in
+    ignore (fold path ~init:() ~f:(fun () c ~len -> acc := Array.sub c 0 len :: !acc));
+    Array.concat (List.rev !acc)
+  in
+  for pass = 1 to 2 do
+    check (Printf.sprintf "fold_words, pass %d" pass) true
+      (collect (fun p -> Tracefile.fold_words p) = words);
+    check (Printf.sprintf "fold_blocks_parallel ~jobs:2, pass %d" pass) true
+      (collect (fun p -> Tracefile.fold_blocks_parallel ~jobs:2 p) = words)
+  done
+
 let tests =
   tests
   @ [
+      Alcotest.test_case "tracefile: v3 bytes pinned across scratch reuse"
+        `Quick test_v3_bytes_pinned_across_reuse;
       QCheck_alcotest.to_alcotest prop_semantic_roundtrip;
       QCheck_alcotest.to_alcotest prop_v3_version_roundtrip;
       Alcotest.test_case "tracefile: v3 multi-block store" `Quick
